@@ -115,7 +115,11 @@ func shardbench(outPath string, heapBudgetMB float64) error {
 		runtime.GC()
 		sampler := startPeakHeapSampler()
 		start := time.Now()
-		matches, err := linkage.Similarities(t1, t2, idx, idx, opt)
+		var matches []linkage.Match
+		ix, err := linkage.BuildIndex(t2, idx, opt)
+		if err == nil {
+			matches, err = ix.Similarities(t1, idx, opt.Workers)
+		}
 		elapsed := time.Since(start).Seconds()
 		peakMB := sampler.Stop()
 		if err != nil {

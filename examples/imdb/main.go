@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 	fmt.Printf("view 1: %s → %v\n", q1, v1)
 	fmt.Printf("view 2: %s → %v\n\n", q2, v2)
 
-	res, err := core.Explain(core.Input{
+	res, err := core.ExplainContext(context.Background(), core.Input{
 		DB1: im.DB1, DB2: im.DB2, Q1: q1, Q2: q2, Mattr: mattr,
 	}, core.DefaultParams())
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"explain3d/internal/linkage"
@@ -122,7 +123,7 @@ func TestBaselinesVersusOptimal(t *testing.T) {
 	// The MILP solution must score at least as well as every baseline.
 	inst := smallInstance()
 	p := DefaultParams()
-	opt, _, err := SolveInstance(inst, p)
+	opt, _, err := SolveInstanceContext(context.Background(), inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}

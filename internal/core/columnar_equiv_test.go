@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -20,18 +21,19 @@ func mustMatching(t *testing.T, spec string) schemamap.Matching {
 	return m
 }
 
-// runEquivalence runs the full pipeline twice on the same input — once
-// with the columnar inverted-index Stage 1 at each worker count, once with
-// the tuple mapping produced by the pairwise reference implementation
-// injected — and demands identical matches, explanations, and evidence.
+// runEquivalence runs the full pipeline on the same input with the columnar
+// inverted-index Stage 1 at each worker count, and solves the tuple mapping
+// produced by the pairwise reference implementation, demanding identical
+// matches, explanations, and evidence.
 func runEquivalence(t *testing.T, in Input, p Params) {
 	t.Helper()
 	// Reference Stage 1: pairwise candidate generation over the same
 	// virtual columns the production path scores.
-	inst, _, err := BuildInstance(in)
+	pp, err := in.BuildPrefix(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := pp.Stage1().Instance(in.Calibrator, in.MinProb)
 	t1, t2 := inst.T1, inst.T2
 	v1, err := VirtualColumns(t1, in.Mattr, true)
 	if err != nil {
@@ -62,11 +64,9 @@ func runEquivalence(t *testing.T, in Input, p Params) {
 
 	var base *Explanations
 	for _, workers := range []int{1, 2, 5} {
-		in := in
-		in.Workers = workers
 		p := p
 		p.Workers = workers
-		res, err := Explain(in, p)
+		res, err := ExplainContext(context.Background(), in, p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -79,14 +79,14 @@ func runEquivalence(t *testing.T, in Input, p Params) {
 		}
 	}
 
-	// The reference mapping, injected, must also solve to the same
-	// explanations — Stage 2 sees byte-identical input.
-	in.Mapping = refMatches
-	res, err := Explain(in, p)
+	// The reference mapping must also solve to the same explanations —
+	// Stage 2 sees byte-identical input.
+	refInst := &Instance{T1: t1, T2: t2, Matches: refMatches, Card: CardinalityOf(in.Mattr)}
+	refExpl, _, err := SolveInstanceContext(context.Background(), refInst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Expl, base) {
+	if !reflect.DeepEqual(refExpl, base) {
 		t.Fatal("explanations from the injected reference mapping differ")
 	}
 }

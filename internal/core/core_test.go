@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -150,7 +151,7 @@ func fig1Instance(t *testing.T) *Instance {
 
 func TestSolveInstanceFigure1Q1Q2(t *testing.T) {
 	inst := fig1Instance(t)
-	expl, stats, err := SolveInstance(inst, DefaultParams())
+	expl, stats, err := SolveInstanceContext(context.Background(), inst, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func fig1Q1Q3Instance(t *testing.T) *Instance {
 
 func TestSolveInstanceFigure1Q1Q3(t *testing.T) {
 	inst := fig1Q1Q3Instance(t)
-	expl, _, err := SolveInstance(inst, DefaultParams())
+	expl, _, err := SolveInstanceContext(context.Background(), inst, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,12 +252,12 @@ func TestSolveInstanceFigure1Q1Q3(t *testing.T) {
 func TestSolveInstancePartitionedMatchesUnpartitioned(t *testing.T) {
 	inst := fig1Q1Q3Instance(t)
 	p := DefaultParams()
-	noOpt, _, err := SolveInstance(inst, p)
+	noOpt, _, err := SolveInstanceContext(context.Background(), inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.BatchSize = 4
-	batched, stats, err := SolveInstance(inst, p)
+	batched, stats, err := SolveInstanceContext(context.Background(), inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,10 +374,10 @@ func TestCheckCompleteViolations(t *testing.T) {
 
 func TestParamsValidation(t *testing.T) {
 	inst := fig1Instance(t)
-	if _, _, err := SolveInstance(inst, Params{Alpha: 0.4, Beta: 0.9}); err == nil {
+	if _, _, err := SolveInstanceContext(context.Background(), inst, Params{Alpha: 0.4, Beta: 0.9}); err == nil {
 		t.Fatal("alpha ≤ 0.5 should fail")
 	}
-	if _, _, err := SolveInstance(inst, Params{Alpha: 0.9, Beta: 1.5}); err == nil {
+	if _, _, err := SolveInstanceContext(context.Background(), inst, Params{Alpha: 0.9, Beta: 1.5}); err == nil {
 		t.Fatal("beta > 1 should fail")
 	}
 }

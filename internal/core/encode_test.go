@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -162,7 +163,7 @@ func TestMILPMatchesBruteForce(t *testing.T) {
 		inst := &Instance{T1: t1, T2: t2, Matches: matches, Card: card}
 		p := DefaultParams()
 
-		expl, _, err := SolveInstance(inst, p)
+		expl, _, err := SolveInstanceContext(context.Background(), inst, p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -206,7 +207,7 @@ func TestPartitionedSolutionsComplete(t *testing.T) {
 			Card: Cardinality{LeftAtMostOne: true, RightAtMostOne: false}}
 		p := DefaultParams()
 		p.BatchSize = 8
-		expl, stats, err := SolveInstance(inst, p)
+		expl, stats, err := SolveInstanceContext(context.Background(), inst, p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -22,30 +22,11 @@ type Input struct {
 	// Calibrator optionally converts similarities to probabilities
 	// (Section 5.1.2); nil treats similarity as probability.
 	Calibrator *linkage.Calibrator
-	// Mapping optionally supplies the initial tuple mapping directly,
-	// bypassing similarity generation. Indexes refer to canonical tuples.
-	Mapping []linkage.Match
 	// MinProb drops initial matches below this probability (default 0.02).
 	MinProb float64
 	// PairOpts overrides the candidate-generation options for stage 1
 	// (nil uses linkage.DefaultPairOptions).
 	PairOpts *linkage.PairOptions
-	// Workers parallelizes Stage 1: the two queries' provenances are
-	// extracted and canonicalized concurrently, and candidate scoring in
-	// the initial mapping is split across this many goroutines (0 defaults
-	// to runtime.GOMAXPROCS(0); results are identical at any count).
-	Workers int
-	// Side1 and Side2 optionally supply a side's prebuilt Stage-1 prefix
-	// (provenance + canonical relation); when set, that side's DB/Q fields
-	// are not consulted. A resident server builds each side once per
-	// (database, query, matched attributes) and injects it here.
-	Side1, Side2 *BuiltSide
-	// RightIndex optionally supplies the prebuilt candidate index over
-	// side 2's comparison columns. When set (and Mapping is nil), initial
-	// matching scans side 1 against it instead of building both sides'
-	// token index from scratch; PairOpts must resolve to the options the
-	// index was built with. Output is identical to the one-shot path.
-	RightIndex *PairIndex
 }
 
 // Result is the full framework output.
@@ -60,81 +41,35 @@ type Result struct {
 	Stage1Time time.Duration
 }
 
-// Explain runs the 3-stage framework end to end (Stage 3 summarization is
-// exposed separately via the summarize package, as the paper delegates it
-// to existing tools).
-//
-//lint:ctxroot public entry point without a ctx parameter: compatibility wrapper around ExplainContext
-func Explain(in Input, p Params) (*Result, error) {
-	return ExplainContext(context.Background(), in, p)
-}
-
-// ExplainContext is Explain bounded by a caller context: cancelling ctx
-// aborts the Stage-2 solve cooperatively, returning the incumbent
-// explanations with Stats.TimedOut set (the same graceful degradation as
-// an expired solver budget) rather than an error.
+// ExplainContext runs the 3-stage framework end to end (Stage 3
+// summarization is exposed separately via the summarize package, as the
+// paper delegates it to existing tools): it builds the Stage-1 prefix fresh
+// (Input.BuildPrefix) and explains it with ExplainPrefixContext and no
+// solution cache — the same path a server takes on a cache miss.
+// Cancelling ctx aborts the Stage-2 solve cooperatively, returning the
+// incumbent explanations with Stats.TimedOut set (the same graceful
+// degradation as an expired solver budget) rather than an error.
 func ExplainContext(ctx context.Context, in Input, p Params) (*Result, error) {
 	if !in.Mattr.Comparable() {
 		return nil, fmt.Errorf("core: queries are not comparable (no attribute matches)")
 	}
 	// Validate up front: Stage 1 dominates runtime, so a bad parameter
-	// must fail before it, not after (SolveInstance re-validates cheaply).
+	// must fail before it, not after.
 	if err := p.withDefaults().validate(); err != nil {
 		return nil, err
 	}
-	if in.Workers == 0 {
-		in.Workers = p.Workers // one knob parallelizes both stages
-	}
 	stage1 := time.Now()
-	inst, res, err := BuildInstance(in)
+	pp, err := in.BuildPrefix(p.Workers)
 	if err != nil {
 		return nil, err
 	}
-	res.Stage1Time = time.Since(stage1)
-	expl, stats, err := SolveInstanceContext(ctx, inst, p)
+	prefixTime := time.Since(stage1)
+	res, err := ExplainPrefixContext(ctx, pp, in.Calibrator, in.MinProb, p, nil)
 	if err != nil {
 		return nil, err
 	}
-	res.Expl = expl
-	res.Stats = *stats
+	res.Stage1Time += prefixTime
 	return res, nil
-}
-
-// BuildInstance runs Stage 1: extract provenance, canonicalize, and derive
-// the initial tuple mapping. The two queries' extraction/canonicalization
-// chains are independent and run concurrently (the paper reports Stage 1
-// dominates total runtime). It composes the reusable Stage-1 prefix
-// (BuildStage1) with the per-request calibration/filter step
-// (Stage1.Instance); servers cache the prefix and call those directly.
-func BuildInstance(in Input) (*Instance, *Result, error) {
-	s, err := BuildStage1(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	inst := s.Instance(in.Calibrator, in.MinProb)
-	res := &Result{Prov1: s.Prov1, Prov2: s.Prov2, T1: s.T1, T2: s.T2, Instance: inst}
-	return inst, res, nil
-}
-
-// InitialMapping scores candidate tuple matches between two canonical
-// relations using the matching attributes (one comparison column per
-// attribute match; multi-attribute sides are concatenated) and calibrates
-// similarities into probabilities.
-func InitialMapping(t1, t2 *Canonical, mattr schemamap.Matching, cal *linkage.Calibrator) ([]linkage.Match, error) {
-	return InitialMappingWith(t1, t2, mattr, cal, linkage.DefaultPairOptions())
-}
-
-// InitialMappingWith is InitialMapping with explicit candidate-generation
-// options.
-func InitialMappingWith(t1, t2 *Canonical, mattr schemamap.Matching, cal *linkage.Calibrator, popt linkage.PairOptions) ([]linkage.Match, error) {
-	sims, err := RawSimilarities(t1, t2, mattr, popt)
-	if err != nil {
-		return nil, err
-	}
-	if cal == nil {
-		cal = linkage.NewCalibrator(50) // unfitted: identity mapping
-	}
-	return linkage.Calibrate(sims, cal), nil
 }
 
 // RawSimilarities scores candidate tuple matches between the two canonical
@@ -142,41 +77,23 @@ func InitialMappingWith(t1, t2 *Canonical, mattr schemamap.Matching, cal *linkag
 // cacheable half of the initial mapping: calibration and probability
 // filtering are cheap and parameter-dependent, so they run per request.
 func RawSimilarities(t1, t2 *Canonical, mattr schemamap.Matching, popt linkage.PairOptions) ([]linkage.Match, error) {
-	// One dictionary spans both comparison relations, so the two sides'
-	// token ids live in the same code space and the linkage stage's joint
-	// translation is a cached array lookup.
-	shared := relation.NewDict()
-	v1, err := virtualColumns(t1, mattr, true, shared)
+	pi, err := BuildPairIndex(t2, mattr, popt)
 	if err != nil {
 		return nil, err
 	}
-	v2, err := virtualColumns(t2, mattr, false, shared)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, len(mattr))
-	for i := range idx {
-		idx[i] = i
-	}
-	return linkage.Similarities(v1, v2, idx, idx, popt)
+	return pi.match(t1, mattr, popt.Workers)
 }
 
 // VirtualColumns builds one comparison column per attribute match: the
 // side's attribute value (preserving numerics) or the concatenation when
-// the match covers several attributes. Exposed for baselines (R-Swoosh)
-// that score the same columns the initial mapping uses.
+// the match covers several attributes. The initial mapping scores these
+// columns; baselines (R-Swoosh) score the same ones.
 func VirtualColumns(c *Canonical, mattr schemamap.Matching, left bool) (*relation.Relation, error) {
-	return virtualColumns(c, mattr, left, c.Rel.Dict())
-}
-
-// virtualColumns is the implementation of VirtualColumns; d is the string
-// dictionary the comparison relation interns into.
-func virtualColumns(c *Canonical, mattr schemamap.Matching, left bool, d *relation.Dict) (*relation.Relation, error) {
 	names := make([]string, len(mattr))
 	for i := range mattr {
 		names[i] = fmt.Sprintf("m%d", i)
 	}
-	out := relation.NewWithDict(d, "", names...)
+	out := relation.NewWithDict(c.Rel.Dict(), "", names...)
 	colIdx := make([][]int, len(mattr))
 	for i, am := range mattr {
 		attrs := am.Right

@@ -72,11 +72,7 @@ func BuildPairPrefix(s1, s2 *BuiltSide, mattr schemamap.Matching, popt linkage.P
 	if err != nil {
 		return nil, err
 	}
-	raw, err := pi.match(s1.Canon, mattr, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &PairPrefix{Side1: s1, Side2: s2, Mattr: mattr, Index: pi, Raw: raw}, nil
+	return BuildPairPrefixFrom(s1, s2, mattr, pi, workers)
 }
 
 // BuildPairPrefixFrom assembles the prefix from a prebuilt right-side
@@ -368,25 +364,31 @@ func (pp *PairPrefix) Advance(s1, s2 *BuiltSide, workers int) (*PairPrefix, Pair
 	return out, d, nil
 }
 
+// Stage1 views the prefix as the Stage-1 bundle Instance derives
+// optimization instances from.
+func (pp *PairPrefix) Stage1() *Stage1 {
+	return &Stage1{
+		Prov1: pp.Side1.Prov, Prov2: pp.Side2.Prov,
+		T1: pp.Side1.Canon, T2: pp.Side2.Canon,
+		Mattr: pp.Mattr, RawMatches: pp.Raw,
+	}
+}
+
 // ExplainPrefixContext runs the back half of an explanation on a prebuilt
 // (possibly incrementally advanced) Stage-1 prefix: calibrate and filter the
-// raw matches, then solve through the optional solution cache. With a nil
-// cache it produces exactly what ExplainContext produces for the same
-// generation and parameters.
+// raw matches, then solve through the optional solution cache. ExplainContext
+// is this with a nil cache over a freshly built prefix; a cache changes only
+// the Stats cache counters, never the explanations.
 func ExplainPrefixContext(ctx context.Context, pp *PairPrefix, cal *linkage.Calibrator, minProb float64, p Params, cache *SolveCache) (*Result, error) {
 	if err := p.withDefaults().validate(); err != nil {
 		return nil, err
 	}
 	stage1 := time.Now()
-	st := &Stage1{
-		Prov1: pp.Side1.Prov, Prov2: pp.Side2.Prov,
-		T1: pp.Side1.Canon, T2: pp.Side2.Canon,
-		Mattr: pp.Mattr, RawMatches: pp.Raw,
-	}
+	st := pp.Stage1()
 	inst := st.Instance(cal, minProb)
 	res := &Result{Prov1: st.Prov1, Prov2: st.Prov2, T1: st.T1, T2: st.T2,
 		Instance: inst, Stage1Time: time.Since(stage1)}
-	expl, stats, err := SolveInstanceCached(ctx, inst, p, cache)
+	expl, stats, err := solveInstance(ctx, inst, p, cache)
 	if err != nil {
 		return nil, err
 	}

@@ -234,19 +234,20 @@ func TestPairPrefixAdvanceIdentity(t *testing.T) {
 // byte-for-byte, including merged stats.
 func TestSolveCacheByteIdentical(t *testing.T) {
 	in := academicInput(t)
-	inst, _, err := BuildInstance(in)
+	pp, err := in.BuildPrefix(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := pp.Stage1().Instance(in.Calibrator, in.MinProb)
 	p := DefaultParams()
 	p.BatchSize = 16
-	plainExpl, plainStats, err := SolveInstance(inst, p)
+	plainExpl, plainStats, err := SolveInstanceContext(context.Background(), inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := NewSolveCache(0)
 	ctx := context.Background()
-	first, firstStats, err := SolveInstanceCached(ctx, inst, p, cache)
+	first, firstStats, err := solveInstance(ctx, inst, p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestSolveCacheByteIdentical(t *testing.T) {
 	if firstStats.SolveCacheMisses != firstStats.Partitions || firstStats.SolveCacheHits != 0 {
 		t.Fatalf("cold solve: want %d misses, got %+v", firstStats.Partitions, firstStats)
 	}
-	second, secondStats, err := SolveInstanceCached(ctx, inst, p, cache)
+	second, secondStats, err := solveInstance(ctx, inst, p, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,39 +276,5 @@ func TestSolveCacheByteIdentical(t *testing.T) {
 	cs := cache.Stats()
 	if cs.Hits != int64(secondStats.SolveCacheHits) || cs.Misses != int64(firstStats.SolveCacheMisses) {
 		t.Fatalf("cache counters inconsistent: %+v", cs)
-	}
-}
-
-// TestSolveCacheWarmStart: with Warm enabled, a structurally identical
-// re-solve under perturbed priors seeds from the cached assignment; on the
-// paper's Figure-1 instance (unique optimum) the result still matches a
-// fresh uncached solve exactly.
-func TestSolveCacheWarmStart(t *testing.T) {
-	inst := fig1Instance(t)
-	cache := NewSolveCache(0)
-	cache.Warm = true
-	ctx := context.Background()
-	p := DefaultParams()
-	if _, _, err := SolveInstanceCached(ctx, inst, p, cache); err != nil {
-		t.Fatal(err)
-	}
-	p2 := p
-	p2.Alpha = 0.91 // objective constants move: key misses, structure hits
-	warm, warmStats, err := SolveInstanceCached(ctx, inst, p2, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.WarmStarted == 0 {
-		t.Fatalf("expected warm-started sub-problems, got %+v", warmStats)
-	}
-	fresh, _, err := SolveInstance(inst, p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(warm, fresh) {
-		t.Fatal("warm-started solve diverges from fresh solve on unique-optimum instance")
-	}
-	if cache.Stats().WarmStarts == 0 {
-		t.Fatal("cache warm counters not recorded")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestPerTuplePriors(t *testing.T) {
 
 	// With uniform priors the impact-equal partner r0 wins (no value
 	// explanation needed).
-	expl, _, err := SolveInstance(inst, DefaultParams())
+	expl, _, err := SolveInstanceContext(context.Background(), inst, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestPerTuplePriors(t *testing.T) {
 		}
 		return 0 // fall back to the global prior
 	}
-	expl, _, err = SolveInstance(inst, p)
+	expl, _, err = SolveInstanceContext(context.Background(), inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestCanonicalizePreservesTotalImpactProperty(t *testing.T) {
 		// Instances are built directly; the invariant under test is that
 		// the MILP's refined relations preserve completeness, so reuse
 		// CheckComplete on the solved result.
-		expl, _, err := SolveInstance(inst, DefaultParams())
+		expl, _, err := SolveInstanceContext(context.Background(), inst, DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +173,7 @@ func TestSolverBudgetReturnsWarmStartQuality(t *testing.T) {
 	inst := fig1Instance(t)
 	p := DefaultParams()
 	p.SolverTimeLimit = 1 // nanosecond: expires immediately
-	expl, stats, err := SolveInstance(inst, p)
+	expl, stats, err := SolveInstanceContext(context.Background(), inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +196,11 @@ func TestUniformPerTuplePriorsMatchGlobal(t *testing.T) {
 	p2 := DefaultParams()
 	p2.AlphaOf = func(Side, int) float64 { return p1.Alpha }
 	p2.BetaOf = func(Side, int) float64 { return p1.Beta }
-	e1, _, err := SolveInstance(inst, p1)
+	e1, _, err := SolveInstanceContext(context.Background(), inst, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, _, err := SolveInstance(inst, p2)
+	e2, _, err := SolveInstanceContext(context.Background(), inst, p2)
 	if err != nil {
 		t.Fatal(err)
 	}

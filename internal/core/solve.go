@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,8 +13,8 @@ import (
 	"explain3d/internal/milp"
 )
 
-// SolveInstance runs Stage 2 of explain3d on an instance: partition the
-// tuple-match graph (Section 4) when BatchSize > 0, encode each
+// SolveInstanceContext runs Stage 2 of explain3d on an instance: partition
+// the tuple-match graph (Section 4) when BatchSize > 0, encode each
 // sub-problem as a MILP (Algorithm 1), solve to optimality, and merge the
 // decoded explanations. With BatchSize = 0 the whole instance is one
 // optimization problem — the paper's NOOPT configuration.
@@ -26,31 +25,25 @@ import (
 // identical at any worker count (when solves complete without hitting a
 // budget — budget-limited incumbents are inherently timing-dependent).
 //
-//lint:ctxroot public entry point without a ctx parameter: compatibility wrapper deriving the root solver context
-func SolveInstance(inst *Instance, p Params) (*Explanations, *Stats, error) {
-	return SolveInstanceContext(context.Background(), inst, p)
-}
-
-// SolveInstanceContext is SolveInstance bounded by a caller context: the
-// solver budget (Params.SolverTimeLimit) derives from ctx, so cancelling it
-// — a server request aborting on client disconnect, a CLI catching SIGINT —
-// stops in-flight sub-problems cooperatively. Cancellation is not an error:
-// each interrupted sub-problem returns its incumbent (or the
-// delete-everything fallback) and Stats.TimedOut is set, exactly like an
-// expired time budget.
+// The solver budget (Params.SolverTimeLimit) derives from ctx, so
+// cancelling it — a server request aborting on client disconnect, a CLI
+// catching SIGINT — stops in-flight sub-problems cooperatively.
+// Cancellation is not an error: each interrupted sub-problem returns its
+// incumbent (or the delete-everything fallback) and Stats.TimedOut is set,
+// exactly like an expired time budget.
 func SolveInstanceContext(ctx context.Context, inst *Instance, p Params) (*Explanations, *Stats, error) {
-	return SolveInstanceCached(ctx, inst, p, nil)
+	return solveInstance(ctx, inst, p, nil)
 }
 
-// SolveInstanceCached is SolveInstanceContext with a solution cache: each
-// sub-problem first consults cache by content hash and, on a hit, replays
-// the stored local-coordinate fragment instead of encoding and solving.
-// Because the key covers everything the solve depends on and only proven-
-// optimal results are cached, the merged output is byte-identical to an
-// uncached run — unchanged partitions of an incrementally maintained
+// solveInstance is SolveInstanceContext with an optional solution cache:
+// each sub-problem first consults cache by content hash and, on a hit,
+// replays the stored local-coordinate fragment instead of encoding and
+// solving. Because the key covers everything the solve depends on and only
+// proven-optimal results are cached, the merged output is byte-identical to
+// an uncached run — unchanged partitions of an incrementally maintained
 // instance become free. cache may be nil (no caching) and may be shared
 // across calls and goroutines.
-func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *SolveCache) (*Explanations, *Stats, error) {
+func solveInstance(ctx context.Context, inst *Instance, p Params, cache *SolveCache) (*Explanations, *Stats, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, nil, err
@@ -123,19 +116,6 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		st.MILPVars = enc.model.NumVars()
 		st.MILPRows = enc.model.NumRows()
 		opt := milp.Options{MaxNodes: p.SolverMaxNodes, WarmStart: warmStart(inst, enc)}
-		var skey string
-		warmPrevIters := -1
-		if cache != nil && cache.Warm {
-			skey = structKey(inst, sub, p)
-			if se := cache.lookupStruct(skey, enc.model.NumVars()); se != nil {
-				// Seed from the last optimal assignment of an identically
-				// shaped sub-problem; the solver feasibility-checks it and
-				// falls back to the greedy incumbent if the numbers moved
-				// too far. Opt-in: tied optima may come out differently.
-				opt.WarmStart = append([]float64(nil), se.x...)
-				warmPrevIters = se.iters
-			}
-		}
 		sol, err := milp.SolveContext(ctx, enc.model, opt)
 		if err != nil {
 			fail(fmt.Errorf("core: solving sub-problem: %w", err))
@@ -148,11 +128,6 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		st.CertInfeas = sol.CertInfeas
 		st.SparseBlocks = sol.SparseBlocks
 		st.DenseBlocks = sol.DenseBlocks
-		if warmPrevIters >= 0 {
-			st.WarmStarted = 1
-			st.WarmItersSaved = warmPrevIters - sol.Iters
-			cache.recordWarm(st.WarmItersSaved)
-		}
 		switch sol.Status {
 		case milp.StatusOptimal:
 		case milp.StatusLimit:
@@ -178,12 +153,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		if cache != nil && sol.Status == milp.StatusOptimal {
 			stored := *st
 			stored.SolveCacheMisses = 0
-			stored.WarmStarted = 0
-			stored.WarmItersSaved = 0
 			cache.store(key, localFragOf(inst, enc, sol), stored)
-			if cache.Warm {
-				cache.storeStruct(skey, sol)
-			}
 		}
 	}
 
@@ -194,11 +164,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 	if workers > len(subs) {
 		workers = len(subs)
 	}
-	if p.MaxResidentGroups > 0 {
-		groups := groupBySegment(inst, subs, p.GroupSpan)
-		stats.Groups = len(groups)
-		solveGrouped(groups, workers, p.MaxResidentGroups, solveSub, &failed)
-	} else if workers <= 1 {
+	if workers <= 1 {
 		for si := range subs {
 			solveSub(si)
 			if failed.Load() {
@@ -248,8 +214,6 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		stats.DenseBlocks += subStats[si].DenseBlocks
 		stats.SolveCacheHits += subStats[si].SolveCacheHits
 		stats.SolveCacheMisses += subStats[si].SolveCacheMisses
-		stats.WarmStarted += subStats[si].WarmStarted
-		stats.WarmItersSaved += subStats[si].WarmItersSaved
 		if subStats[si].TimedOut {
 			stats.TimedOut = true
 		}
@@ -326,114 +290,6 @@ func buildSubProblems(inst *Instance, parts [][]int) []*subProblem {
 		subs[pl].matches = append(subs[pl].matches, m)
 	}
 	return subs
-}
-
-// groupBySegment orders sub-problems into segment-locality groups: a sub-
-// problem's key is the storage segment its smallest canonical tuple id
-// falls in (left tuples first; right-only sub-problems key on the right id
-// offset past the left relation). Groups come out in ascending segment
-// order, so admission walks the canonical relations front to back and
-// co-resident sub-problems read neighboring segments. Grouping only
-// schedules — fragments are still merged by sub-problem index — so output
-// is identical at any span or budget.
-func groupBySegment(inst *Instance, subs []*subProblem, span int) [][]int {
-	if span <= 0 {
-		span = inst.T1.Rel.SegmentSpan()
-	}
-	nLeft := inst.T1.Len()
-	keyOf := func(sub *subProblem) int {
-		if len(sub.left) > 0 {
-			min := sub.left[0]
-			for _, id := range sub.left {
-				if id < min {
-					min = id
-				}
-			}
-			return min / span
-		}
-		if len(sub.right) > 0 {
-			min := sub.right[0]
-			for _, id := range sub.right {
-				if id < min {
-					min = id
-				}
-			}
-			return (nLeft + min) / span
-		}
-		return 0
-	}
-	byKey := make(map[int][]int)
-	keys := make([]int, 0)
-	for si, sub := range subs {
-		k := keyOf(sub)
-		if _, ok := byKey[k]; !ok {
-			keys = append(keys, k)
-		}
-		byKey[k] = append(byKey[k], si)
-	}
-	sort.Ints(keys)
-	out := make([][]int, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, byKey[k])
-	}
-	return out
-}
-
-// solveGrouped runs the worker pool under the admission budget: a group's
-// sub-problems enter the work queue only after acquiring one of maxResident
-// group slots, and the group's last retired sub-problem frees the slot — at
-// most maxResident segment groups are queued or in flight at once.
-func solveGrouped(groups [][]int, workers, maxResident int, solveSub func(int), failed *atomic.Bool) {
-	if workers <= 1 {
-		// One sub-problem in flight: the admission bound holds trivially;
-		// group order still walks the segments front to back.
-		for _, g := range groups {
-			for _, si := range g {
-				solveSub(si)
-				if failed.Load() {
-					return
-				}
-			}
-		}
-		return
-	}
-	type task struct{ si, gi int }
-	remaining := make([]atomic.Int32, len(groups))
-	for gi, g := range groups {
-		remaining[gi].Store(int32(len(g)))
-	}
-	sem := make(chan struct{}, maxResident)
-	work := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range work {
-				solveSub(t.si)
-				if remaining[t.gi].Add(-1) == 0 {
-					<-sem // group fully retired: free its admission slot
-				}
-			}
-		}()
-	}
-	// On failure feeding just stops: slots held by partially-fed groups are
-	// never reacquired, so the held semaphore entries cannot block anything.
-feed:
-	for gi, g := range groups {
-		if failed.Load() {
-			break
-		}
-		sem <- struct{}{}
-		for _, si := range g {
-			if failed.Load() {
-				break feed
-			}
-			work <- task{si: si, gi: gi}
-		}
-	}
-	close(work)
-	wg.Wait()
 }
 
 // FilterMatches drops matches below a probability floor; stage 1 applies

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestSolveInstanceWorkersDeterministic(t *testing.T) {
 	p.BatchSize = 6
 
 	p.Workers = 1
-	seq, seqStats, err := SolveInstance(inst, p)
+	seq, seqStats, err := SolveInstanceContext(context.Background(), inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestSolveInstanceWorkersDeterministic(t *testing.T) {
 	}
 	for _, workers := range []int{3, 8} {
 		p.Workers = workers
-		par, parStats, err := SolveInstance(inst, p)
+		par, parStats, err := SolveInstanceContext(context.Background(), inst, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,12 +82,12 @@ func TestSolveInstanceWorkersDefault(t *testing.T) {
 	p := DefaultParams()
 	p.BatchSize = 4
 	p.Workers = 1
-	seq, _, err := SolveInstance(inst, p)
+	seq, _, err := SolveInstanceContext(context.Background(), inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Workers = 0
-	par, _, err := SolveInstance(inst, p)
+	par, _, err := SolveInstanceContext(context.Background(), inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestSolveInstanceWorkersDefault(t *testing.T) {
 func TestParamsWorkersValidation(t *testing.T) {
 	p := DefaultParams()
 	p.Workers = -1
-	if _, _, err := SolveInstance(clusteredInstance(1), p); err == nil {
+	if _, _, err := SolveInstanceContext(context.Background(), clusteredInstance(1), p); err == nil {
 		t.Fatal("negative Workers should be rejected")
 	}
 }
@@ -153,7 +154,7 @@ func TestSplitInstanceZeroMatches(t *testing.T) {
 		}
 	}
 	// End to end: with no evidence available, every tuple is deleted.
-	expl, _, err := SolveInstance(inst, DefaultParams())
+	expl, _, err := SolveInstanceContext(context.Background(), inst, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestSolveInstanceCanceledBudget(t *testing.T) {
 		p.BatchSize = 6
 		p.Workers = workers
 		p.SolverTimeLimit = 1 // one nanosecond: expires before any node
-		expl, stats, err := SolveInstance(inst, p)
+		expl, stats, err := SolveInstanceContext(context.Background(), inst, p)
 		if err != nil {
 			t.Fatal(err)
 		}

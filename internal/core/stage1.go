@@ -38,11 +38,10 @@ func BuildSide(q *sqlparse.Select, db *relation.Database, attrs []string, name s
 
 // PairIndex is the right side's half of initial-mapping candidate
 // generation — comparison columns plus the inverted token index — prebuilt
-// once and scanned by any number of left sides. The output of matching
-// through a PairIndex is identical to the one-shot path: candidate
-// discovery verifies exact shared-token counts and scoring is
-// per-pair-deterministic, so the match list does not depend on which side
-// carried the shared dictionary or on token-id assignment order.
+// once and scanned by any number of left sides. Candidate discovery
+// verifies exact shared-token counts and scoring is per-pair-deterministic,
+// so the match list does not depend on token-id assignment order: a shared
+// index answers exactly what a freshly built one would.
 type PairIndex struct {
 	ix   *linkage.Index
 	popt linkage.PairOptions
@@ -98,45 +97,31 @@ type Stage1 struct {
 	T1, T2       *Canonical
 	Mattr        schemamap.Matching
 	// RawMatches are the candidate similarities before calibration (P
-	// unset). Nil when the input supplied an explicit Mapping.
+	// unset).
 	RawMatches []linkage.Match
-	// Mapping is the explicit initial mapping passed through from the
-	// input, when one was supplied.
-	Mapping []linkage.Match
 }
 
-// BuildStage1 runs the Stage-1 prefix: extract provenance, canonicalize,
-// and score raw candidate similarities. Prebuilt sides (Input.Side1/Side2)
-// and a prebuilt right-side candidate index (Input.RightIndex) are honored;
-// whatever is missing is computed, with the two sides running concurrently
-// unless Workers == 1.
-func BuildStage1(in Input) (*Stage1, error) {
-	s1, s2 := in.Side1, in.Side2
-	build1 := func() (err error) {
-		if s1 == nil {
-			s1, err = BuildSide(in.Q1, in.DB1, in.Mattr.LeftAttrs(), "Q1")
-		}
-		return err
-	}
-	build2 := func() (err error) {
-		if s2 == nil {
-			s2, err = BuildSide(in.Q2, in.DB2, in.Mattr.RightAttrs(), "Q2")
-		}
-		return err
-	}
+// BuildPrefix runs Stage 1 fresh up to the reusable prefix: both sides are
+// extracted and canonicalized — concurrently unless workers == 1, the
+// fully-sequential setting — then BuildPairPrefix indexes side 2 and scans
+// side 1 against it. The scan splits across workers unless in.PairOpts sets
+// its own Workers.
+func (in Input) BuildPrefix(workers int) (*PairPrefix, error) {
+	var s1, s2 *BuiltSide
 	var err1, err2 error
-	if in.Workers == 1 {
-		// Honor the documented fully-sequential contract: no goroutines.
-		err1 = build1()
-		err2 = build2()
+	build1 := func() { s1, err1 = BuildSide(in.Q1, in.DB1, in.Mattr.LeftAttrs(), "Q1") }
+	build2 := func() { s2, err2 = BuildSide(in.Q2, in.DB2, in.Mattr.RightAttrs(), "Q2") }
+	if workers == 1 {
+		build1()
+		build2()
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err2 = build2()
+			build2()
 		}()
-		err1 = build1()
+		build1()
 		wg.Wait()
 	}
 	if err1 != nil {
@@ -145,28 +130,14 @@ func BuildStage1(in Input) (*Stage1, error) {
 	if err2 != nil {
 		return nil, err2
 	}
-	st := &Stage1{Prov1: s1.Prov, Prov2: s2.Prov, T1: s1.Canon, T2: s2.Canon, Mattr: in.Mattr}
-	if in.Mapping != nil {
-		st.Mapping = in.Mapping
-		return st, nil
-	}
 	popt := linkage.DefaultPairOptions()
 	if in.PairOpts != nil {
 		popt = *in.PairOpts
 	}
-	if popt.Workers == 0 {
-		popt.Workers = in.Workers
+	if popt.Workers != 0 {
+		workers = popt.Workers
 	}
-	var err error
-	if in.RightIndex != nil {
-		st.RawMatches, err = in.RightIndex.match(st.T1, in.Mattr, popt.Workers)
-	} else {
-		st.RawMatches, err = RawSimilarities(st.T1, st.T2, in.Mattr, popt)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
+	return BuildPairPrefix(s1, s2, in.Mattr, popt, workers)
 }
 
 // Instance derives an optimization instance from the Stage-1 prefix:
@@ -175,16 +146,12 @@ func BuildStage1(in Input) (*Stage1, error) {
 // The receiver is not modified, so one cached Stage1 serves concurrent
 // requests with different calibrators and thresholds.
 func (s *Stage1) Instance(cal *linkage.Calibrator, minProb float64) *Instance {
-	matches := s.Mapping
-	if matches == nil {
-		if cal == nil {
-			cal = linkage.NewCalibrator(50) // unfitted: identity mapping
-		}
-		matches = linkage.Calibrate(s.RawMatches, cal)
+	if cal == nil {
+		cal = linkage.NewCalibrator(50) // unfitted: identity mapping
 	}
 	if minProb == 0 {
 		minProb = 0.02
 	}
-	matches = FilterMatches(matches, minProb)
+	matches := FilterMatches(linkage.Calibrate(s.RawMatches, cal), minProb)
 	return &Instance{T1: s.T1, T2: s.T2, Matches: matches, Card: CardinalityOf(s.Mattr)}
 }

@@ -122,25 +122,14 @@ type Params struct {
 	// SolverMaxNodes bounds branch-and-bound nodes per MILP block.
 	SolverMaxNodes int
 	// Workers is the number of sub-problems solved concurrently by
-	// SolveInstance. 0 defaults to runtime.GOMAXPROCS(0); 1 reproduces the
-	// sequential pipeline. Explanations are identical at any worker count
-	// (fragments are merged in partition order before the canonical sort);
-	// the exception is solves that exhaust SolverTimeLimit, whose
+	// SolveInstanceContext; ExplainContext also uses it for Stage 1 (the
+	// two sides build concurrently unless it is 1, and the candidate scan
+	// splits across it). 0 defaults to runtime.GOMAXPROCS(0); 1 reproduces
+	// the sequential pipeline. Explanations are identical at any worker
+	// count (fragments are merged in partition order before the canonical
+	// sort); the exception is solves that exhaust SolverTimeLimit, whose
 	// incumbents are timing-dependent with or without parallelism.
 	Workers int
-	// MaxResidentGroups bounds Stage-2 peak memory by admission: sub-
-	// problems are grouped by segment locality — the storage segment of the
-	// canonical relations (see relation.SegmentSpan) that their smallest
-	// tuple id falls in — and at most MaxResidentGroups groups may have
-	// sub-problems queued or in flight at once. Encoded MILPs and solver
-	// state of at most that many segment groups are resident together; the
-	// worker pool is unchanged, and explanations are identical at any
-	// budget. 0 disables admission (every sub-problem is eligible at once).
-	MaxResidentGroups int
-	// GroupSpan overrides the locality group's row span (default: the
-	// canonical left relation's storage segment length). Only meaningful
-	// with MaxResidentGroups > 0.
-	GroupSpan int
 }
 
 // DefaultParams returns the parameters used throughout the evaluation:
@@ -178,12 +167,6 @@ func (p Params) validate() error {
 	}
 	if p.Workers < 0 {
 		return fmt.Errorf("core: Workers must be ≥ 0, got %d", p.Workers)
-	}
-	if p.MaxResidentGroups < 0 {
-		return fmt.Errorf("core: MaxResidentGroups must be ≥ 0, got %d", p.MaxResidentGroups)
-	}
-	if p.GroupSpan < 0 {
-		return fmt.Errorf("core: GroupSpan must be ≥ 0, got %d", p.GroupSpan)
 	}
 	return nil
 }
@@ -223,9 +206,6 @@ type Stats struct {
 	SolveTime time.Duration
 	// Partitions is the number of sub-problems solved.
 	Partitions int
-	// Groups is the number of segment-locality groups the sub-problems were
-	// admitted in (0 when Params.MaxResidentGroups left admission disabled).
-	Groups int
 	// MILPVars and MILPRows total over all sub-problems.
 	MILPVars, MILPRows int
 	// Nodes totals branch-and-bound nodes.
@@ -247,15 +227,10 @@ type Stats struct {
 	// solver's adaptive heuristic made across all sub-problems.
 	SparseBlocks, DenseBlocks int
 	// SolveCacheHits/SolveCacheMisses count sub-problems served from (or
-	// missed in) the solution cache a SolveInstanceCached call consulted;
+	// missed in) the solution cache an ExplainPrefixContext call consulted;
 	// both stay zero without a cache. Misses on an incrementally advanced
 	// instance are exactly its dirty partitions.
 	SolveCacheHits, SolveCacheMisses int
-	// WarmStarted counts sub-problems seeded from a cached assignment
-	// (SolveCache.Warm); WarmItersSaved totals the previous solves'
-	// iteration counts minus these solves' — negative when warm seeds
-	// did not help.
-	WarmStarted, WarmItersSaved int
 	// TimedOut reports that at least one sub-problem hit a solver budget
 	// and returned its incumbent instead of a proven optimum.
 	TimedOut bool

@@ -36,11 +36,10 @@ type AcademicReport struct {
 func RunAcademic(spec datagen.AcademicSpec, params core.Params) (*AcademicReport, error) {
 	a := datagen.GenerateAcademic(spec)
 	start := time.Now()
-	inst, res, err := core.BuildInstance(core.Input{
+	inst, res, err := stage1Instance(core.Input{
 		DB1: a.DB1, DB2: a.DB2, Q1: a.Q1, Q2: a.Q2, Mattr: a.Mattr,
 		MinProb: 1e-9, // keep raw similarities; calibration filters later
-		Workers: params.Workers,
-	})
+	}, params.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -119,10 +119,10 @@ func prepareIMDbCase(im *datagen.IMDb, tpl datagen.Template, param string, worke
 	start := time.Now()
 	popt := linkage.DefaultPairOptions()
 	popt.MinSharedTokens = 2 // titles/names share frequent tokens; require two
-	inst, res, err := core.BuildInstance(core.Input{
+	inst, res, err := stage1Instance(core.Input{
 		DB1: im.DB1, DB2: im.DB2, Q1: q1, Q2: q2, Mattr: mattr,
-		MinProb: 1e-9, PairOpts: &popt, Workers: workers,
-	})
+		MinProb: 1e-9, PairOpts: &popt,
+	}, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -48,6 +49,19 @@ type PreparedCase struct {
 	EvidKeys []string
 }
 
+// stage1Instance runs the one-shot Stage-1 step (Input.BuildPrefix) and
+// derives the instance from it, with the Result fields Prepare and the
+// statistics tables read.
+func stage1Instance(in core.Input, workers int) (*core.Instance, *core.Result, error) {
+	pp, err := in.BuildPrefix(workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := pp.Stage1()
+	inst := st.Instance(in.Calibrator, in.MinProb)
+	return inst, &core.Result{Prov1: st.Prov1, Prov2: st.Prov2, T1: st.T1, T2: st.T2, Instance: inst}, nil
+}
+
 // Prepare stages a case from a built instance: compute gold from entity
 // ids, fit the calibrator on the raw similarities, and recalibrate the
 // instance's matches.
@@ -71,6 +85,8 @@ func Prepare(inst *core.Instance, res *core.Result, mattr schemamap.Matching, ei
 
 // RunMethod executes one method on a prepared case. BatchSize applies to
 // the Explain3D variants (0 = NoOpt).
+//
+//lint:ctxroot experiment entry point: each measured solve owns its root and is bounded by params.SolverTimeLimit
 func (pc *PreparedCase) RunMethod(method string, params core.Params, batchSize int) (MethodResult, error) {
 	out := MethodResult{Method: method}
 	start := time.Now()
@@ -80,7 +96,7 @@ func (pc *PreparedCase) RunMethod(method string, params core.Params, batchSize i
 	case MethodExplain3D, MethodNoOpt:
 		params.BatchSize = batchSize
 		var stats *core.Stats
-		expl, stats, err = core.SolveInstance(pc.Inst, params)
+		expl, stats, err = core.SolveInstanceContext(context.Background(), pc.Inst, params)
 		if stats != nil {
 			out.Stats = *stats
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -48,6 +49,8 @@ func methodName(batch int) string {
 
 // RunSyntheticPoint generates one synthetic pair and solves it with every
 // requested batch size.
+//
+//lint:ctxroot experiment entry point: each measured solve owns its root and is bounded by the configured Budget
 func RunSyntheticPoint(cfg SyntheticConfig, params core.Params) ([]SyntheticPoint, error) {
 	s := datagen.GenerateSynthetic(cfg.Spec)
 	popt := linkage.DefaultPairOptions()
@@ -55,10 +58,10 @@ func RunSyntheticPoint(cfg SyntheticConfig, params core.Params) ([]SyntheticPoin
 		popt.MinSharedTokens = 2 // keep candidate generation near-linear
 	}
 	start := time.Now()
-	inst, res, err := core.BuildInstance(core.Input{
+	inst, res, err := stage1Instance(core.Input{
 		DB1: s.DB1, DB2: s.DB2, Q1: s.Q1, Q2: s.Q2, Mattr: s.Mattr,
-		MinProb: 1e-9, PairOpts: &popt, Workers: params.Workers,
-	})
+		MinProb: 1e-9, PairOpts: &popt,
+	}, params.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +81,7 @@ func RunSyntheticPoint(cfg SyntheticConfig, params core.Params) ([]SyntheticPoin
 		p := params
 		p.BatchSize = batch
 		p.SolverTimeLimit = cfg.Budget
-		expl, stats, err := core.SolveInstance(pc.Inst, p)
+		expl, stats, err := core.SolveInstanceContext(context.Background(), pc.Inst, p)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: synthetic n=%d batch=%d: %w", cfg.Spec.N, batch, err)
 		}

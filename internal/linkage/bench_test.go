@@ -62,7 +62,7 @@ func benchSimilarities(b *testing.B, n, v int, pairwise bool, workers int) {
 		if pairwise {
 			ms, err = SimilaritiesPairwise(left, right, idx, idx, opt)
 		} else {
-			ms, err = Similarities(left, right, idx, idx, opt)
+			ms, err = similarities(left, right, idx, idx, opt)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -124,7 +124,7 @@ func benchPrefixFilter(b *testing.B, off bool) {
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		ms, err := Similarities(left, right, idx, idx, opt)
+		ms, err := similarities(left, right, idx, idx, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,6 +8,16 @@ import (
 	"explain3d/internal/relation"
 )
 
+// similarities scores left against a freshly built Index over right — the
+// production candidate path — scanning with opt.Workers workers.
+func similarities(left, right *relation.Relation, leftIdx, rightIdx []int, opt PairOptions) ([]Match, error) {
+	ix, err := BuildIndex(right, rightIdx, opt)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Similarities(left, leftIdx, opt.Workers)
+}
+
 // randomRelation builds a relation with a controllable mix of strings
 // (drawn from a shared vocabulary so blocking has work to do), numbers,
 // NULLs, and mixed columns — the adversarial surface of the columnar
@@ -64,8 +74,8 @@ func matchesEqual(t *testing.T, label string, got, want []Match) {
 // TestSimilaritiesMatchesPairwiseReference is the acceptance property of
 // the inverted-index rewrite: over random relations — shared or separate
 // dictionaries, every blocking configuration, any worker count — the
-// columnar Similarities must return byte-identical output to the pairwise
-// reference implementation.
+// columnar Index.Similarities must return byte-identical output to the
+// pairwise reference implementation.
 func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
@@ -94,7 +104,7 @@ func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3, 7} {
 			opt.Workers = workers
-			got, err := Similarities(left, right, idx, idx, opt)
+			got, err := similarities(left, right, idx, idx, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +144,7 @@ func TestSimilaritiesStopWordPruning(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			opt.Workers = workers
-			got, err := Similarities(left, right, []int{0}, []int{0}, opt)
+			got, err := similarities(left, right, []int{0}, []int{0}, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,14 +194,14 @@ func TestSimilaritiesPerRowPrefixFilter(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			opt.Workers = workers
-			got, err := Similarities(left, right, []int{0}, []int{0}, opt)
+			got, err := similarities(left, right, []int{0}, []int{0}, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			matchesEqual(t, fmt.Sprintf("prefix-filter minShared=%d workers=%d", minShared, workers), got, want)
 			// The global-prune-only path (pre-filter behavior) must agree too.
 			disableRowPrefixFilter = true
-			off, err := Similarities(left, right, []int{0}, []int{0}, opt)
+			off, err := similarities(left, right, []int{0}, []int{0}, opt)
 			disableRowPrefixFilter = false
 			if err != nil {
 				t.Fatal(err)
@@ -212,7 +222,7 @@ func TestSimilaritiesNumericOnlyColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Similarities(left, right, []int{0}, []int{0}, opt)
+	got, err := similarities(left, right, []int{0}, []int{0}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,20 @@ import (
 // Index is a prebuilt candidate-generation index over one fixed right-side
 // relation: the joint token space, the right rows' token lists and typed
 // match columns, and the inverted posting lists (token id → right row ids)
-// with the global stop-word prune already applied. Building it is the
-// right-side half of Similarities; once built it can score any number of
-// left relations against the same right side — the serving pattern, where
-// one query of an explanation pair stays fixed while the user iterates on
-// the other.
+// with the global stop-word prune already applied. Once built it can score
+// any number of left relations against the same right side — the serving
+// pattern, where one query of an explanation pair stays fixed while the
+// user iterates on the other.
+//
+// Candidate generation merges, per left row, the posting lists of its
+// tokens with a shared-token counter: a pair is scored when it shares at
+// least MinSharedTokens distinct tokens — the exact match set of the
+// pairwise reference implementation (SimilaritiesPairwise), at
+// O(Σ posting-list products) instead of O(|L|·|R|) blocking probes.
 //
 // An Index is immutable after BuildIndex returns except for the joint token
 // intern map, which is mutex-guarded; concurrent Similarities calls against
-// one Index are safe and produce output identical to the one-shot
-// package-level Similarities for the same inputs.
+// one Index are safe and produce identical output.
 type Index struct {
 	ts       *tokenSpace
 	opt      PairOptions // blocking options baked in at build time
@@ -69,9 +73,8 @@ func BuildIndex(right *relation.Relation, rightIdx []int, opt PairOptions) (*Ind
 }
 
 // finalize assembles the posting lists and applies the global stop-word
-// prune. It must run after both the right side and — for the one-shot
-// Similarities path, which shares the token space — the left side have
-// interned their tokens, so every already-known token has a posting slot.
+// prune. It runs once the right side has interned its tokens, so every
+// right-side token has a posting slot.
 func (ix *Index) finalize() {
 	if !ix.opt.Block {
 		return
@@ -188,9 +191,12 @@ func (ix *Index) buildLeftView(left *relation.Relation, leftIdx []int) *leftView
 	}
 }
 
-// Similarities scores a left relation against the prebuilt right side,
-// exactly as the package-level Similarities would for the same inputs and
-// the PairOptions the index was built with. workers splits the scan into
+// Similarities scores a left relation against the prebuilt right side over
+// the aligned matching attribute indexes (leftIdx[i] ↔ the index's
+// rightIdx[i]), with the PairOptions the index was built with. Left-row
+// tokens are translated into the index's joint token space once per
+// distinct string, and Jaccard runs on sorted token-id slices. workers
+// splits the scan into
 // contiguous left-row ranges (0 defaults to GOMAXPROCS); output is
 // identical at any worker count. Safe for concurrent use.
 func (ix *Index) Similarities(left *relation.Relation, leftIdx []int, workers int) ([]Match, error) {
@@ -246,7 +252,7 @@ func (ix *Index) blockedScan(lv *leftView) bool {
 }
 
 // scan runs candidate generation and scoring of one left view against the
-// index. It is the shared back half of Similarities and Index.Similarities.
+// index.
 func (ix *Index) scan(lv *leftView, workers int) []Match {
 	opt := ix.opt
 	score := ix.scorer(lv)

@@ -42,15 +42,15 @@ func indexTestRelations(seed int64, nLeft, nRight int) (*relation.Relation, *rel
 }
 
 // TestIndexMatchesOneShot pins that a prebuilt Index produces output
-// identical to the one-shot package-level Similarities for the same inputs,
-// across blocking thresholds and worker counts.
+// identical to the pairwise reference (SimilaritiesPairwise) for the same
+// inputs, across blocking thresholds and worker counts.
 func TestIndexMatchesOneShot(t *testing.T) {
 	left, right := indexTestRelations(42, 120, 90)
 	idx := []int{0, 1}
 	for _, minShared := range []int{1, 2, 3, 4} {
 		opt := DefaultPairOptions()
 		opt.MinSharedTokens = minShared
-		want, err := Similarities(left, right, idx, idx, opt)
+		want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestIndexNoBlocking(t *testing.T) {
 	idx := []int{0, 1}
 	opt := DefaultPairOptions()
 	opt.Block = false
-	want, err := Similarities(left, right, idx, idx, opt)
+	want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestIndexNoBlocking(t *testing.T) {
 
 // TestIndexConcurrentReuse fires many concurrent scans — different left
 // relations against one shared Index — and checks each against its own
-// one-shot run. Run under -race: this is the serving pattern, where one
+// pairwise reference run. Run under -race: this is the serving pattern, where one
 // prebuilt index serves all requests.
 func TestIndexConcurrentReuse(t *testing.T) {
 	_, right := indexTestRelations(1, 10, 150)
@@ -114,7 +114,7 @@ func TestIndexConcurrentReuse(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			want, err := Similarities(left, right, idx, idx, opt)
+			want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
 			if err != nil {
 				t.Error(err)
 				return

@@ -92,7 +92,7 @@ func twoRelations() (*relation.Relation, *relation.Relation) {
 
 func TestSimilaritiesBlocked(t *testing.T) {
 	l, r := twoRelations()
-	ms, err := Similarities(l, r, []int{0}, []int{0}, DefaultPairOptions())
+	ms, err := similarities(l, r, []int{0}, []int{0}, DefaultPairOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestSimilaritiesBlocked(t *testing.T) {
 
 func TestSimilaritiesUnblockedEqualsBlockedOnStrings(t *testing.T) {
 	l, r := twoRelations()
-	blocked, err := Similarities(l, r, []int{0}, []int{0}, PairOptions{MinSim: 0.05, Block: true})
+	blocked, err := similarities(l, r, []int{0}, []int{0}, PairOptions{MinSim: 0.05, Block: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Similarities(l, r, []int{0}, []int{0}, PairOptions{MinSim: 0.05, Block: false})
+	full, err := similarities(l, r, []int{0}, []int{0}, PairOptions{MinSim: 0.05, Block: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSimilaritiesNumericFallback(t *testing.T) {
 	l.Append(int64(20))
 	r := relation.New("R", "v")
 	r.Append(int64(10))
-	ms, err := Similarities(l, r, []int{0}, []int{0}, DefaultPairOptions())
+	ms, err := similarities(l, r, []int{0}, []int{0}, DefaultPairOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +145,10 @@ func TestSimilaritiesNumericFallback(t *testing.T) {
 
 func TestSimilaritiesErrors(t *testing.T) {
 	l, r := twoRelations()
-	if _, err := Similarities(l, r, nil, nil, DefaultPairOptions()); err == nil {
+	if _, err := similarities(l, r, nil, nil, DefaultPairOptions()); err == nil {
 		t.Fatal("empty attribute lists should fail")
 	}
-	if _, err := Similarities(l, r, []int{0}, []int{0, 1}, DefaultPairOptions()); err == nil {
+	if _, err := similarities(l, r, []int{0}, []int{0, 1}, DefaultPairOptions()); err == nil {
 		t.Fatal("misaligned attribute lists should fail")
 	}
 }
@@ -294,7 +294,7 @@ func TestMixedColumnSniffsWholeColumn(t *testing.T) {
 
 	// End to end: blocking stays on and the string rows still pair up
 	// through their shared token.
-	ms, err := Similarities(left, right, []int{0}, []int{0},
+	ms, err := similarities(left, right, []int{0}, []int{0},
 		PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestMixedColumnKeepsNumericPairsUnderBlocking(t *testing.T) {
 	right := relation.New("R", "v").
 		Append(int64(123)).
 		Append("acme inc")
-	ms, err := Similarities(left, right, []int{0}, []int{0},
+	ms, err := similarities(left, right, []int{0}, []int{0},
 		PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package linkage
 
 import (
 	"fmt"
-	"sync"
 
 	"explain3d/internal/relation"
 )
@@ -48,55 +47,9 @@ func DefaultPairOptions() PairOptions {
 }
 
 // disableRowPrefixFilter turns off the per-left-row prefix filter inside
-// Similarities, leaving only the global stop-word prune — the pre-filter
-// behavior, kept reachable for differential tests and benchmarks.
+// the candidate scan, leaving only the global stop-word prune — the
+// pre-filter behavior, kept reachable for differential tests and benchmarks.
 var disableRowPrefixFilter = false
-
-// Similarities scores candidate tuple pairs between left and right over
-// the aligned matching attribute indexes (leftIdx[i] ↔ rightIdx[i]).
-//
-// Candidate generation runs on an inverted token index: the two relations'
-// dictionary-encoded string columns are translated into one joint token-id
-// space (tokenization once per distinct string, cached in each Dict), the
-// right side's per-row token lists become posting lists (token id → row
-// ids), and each left row merges the posting lists of its tokens with a
-// shared-token counter. A pair is scored when it shares at least
-// MinSharedTokens distinct tokens — the exact match set of the pairwise
-// reference implementation (SimilaritiesPairwise), at O(Σ posting-list
-// products) instead of O(|L|·|R|) blocking probes. Jaccard runs on sorted
-// token-id slices instead of string-keyed maps.
-func Similarities(left, right *relation.Relation, leftIdx, rightIdx []int, opt PairOptions) ([]Match, error) {
-	if len(leftIdx) != len(rightIdx) || len(leftIdx) == 0 {
-		return nil, fmt.Errorf("linkage: need equal, non-empty attribute index lists (got %d and %d)", len(leftIdx), len(rightIdx))
-	}
-	if opt.MinSharedTokens < 1 {
-		opt.MinSharedTokens = 1
-	}
-	// Per-row sorted token-id lists per matched column (nil column =
-	// numeric-only, numeric similarity applies), so scoring a pair never
-	// re-tokenizes and never hashes a string. The two sides build
-	// concurrently: each owns its dictionary-translation cache, and only
-	// the joint token-id intern is shared (mutex-guarded; match output is
-	// invariant under id relabeling). The right side assembles into an
-	// Index (posting lists + stop-word prune) once both sides' tokens are
-	// interned; the scan itself is shared with prebuilt-Index queries.
-	ix := &Index{ts: newTokenSpace(), opt: opt, rightIdx: rightIdx, nRight: right.Len()}
-	var lv *leftView
-	var sides sync.WaitGroup
-	sides.Add(1)
-	go func() {
-		defer sides.Done()
-		ix.rTok = ix.ts.tokenColumns(right, rightIdx)
-		ix.rCols = matchColumns(right, rightIdx)
-	}()
-	// Matched-column cells surfaced once as typed row views (null flags +
-	// numeric values straight off the columnar storage) — the numeric
-	// similarity path in the scoring inner loop never boxes a Value.
-	lv = ix.buildLeftView(left, leftIdx)
-	sides.Wait()
-	ix.finalize()
-	return ix.scan(lv, opt.Workers), nil
-}
 
 // matchCol is one matched column's typed row view for the scoring loop:
 // null flags and numeric values are read straight off the columnar typed

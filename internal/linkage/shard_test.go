@@ -32,7 +32,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			Block:           true,
 			MinSharedTokens: 1 + rng.Intn(4),
 		}
-		want, err := Similarities(left, right, idx, idx, opt)
+		want, err := similarities(left, right, idx, idx, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				sopt := opt
 				sopt.Shards, sopt.Workers = shards, workers
-				got, err := Similarities(left, right, idx, idx, sopt)
+				got, err := similarities(left, right, idx, idx, sopt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +72,7 @@ func TestShardedStopWordPruning(t *testing.T) {
 	left, right := build("L", 40), build("R", 40)
 	for _, minShared := range []int{2, 3} {
 		opt := PairOptions{MinSim: 0, Block: true, MinSharedTokens: minShared}
-		want, err := Similarities(left, right, []int{0}, []int{0}, opt)
+		want, err := similarities(left, right, []int{0}, []int{0}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestShardedStopWordPruning(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				sopt := opt
 				sopt.Shards, sopt.Workers = shards, workers
-				got, err := Similarities(left, right, []int{0}, []int{0}, sopt)
+				got, err := similarities(left, right, []int{0}, []int{0}, sopt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -107,7 +107,7 @@ func BenchmarkSparseVsDenseSparse(b *testing.B) {
 	benchmarkEngine(b, 800, Options{Engine: EngineSparse})
 }
 
-func BenchmarkSparseVsDenseDense(b *testing.B) { benchmarkEngine(b, 800, Options{DenseLP: true}) }
+func BenchmarkSparseVsDenseDense(b *testing.B) { benchmarkEngine(b, 800, Options{Engine: EngineDense}) }
 
 // BenchmarkDevexOn/Off isolates the pricing rule on the 800-var block:
 // devex scans a bounded candidate window per iteration where full Dantzig

@@ -261,7 +261,7 @@ type bbNode struct {
 // exit. Cancellation of ctx is treated exactly like an expired deadline.
 //
 // Node relaxations are solved by an lpEngine (engine.go): the sparse
-// revised simplex by default, the dense tableau under Options.DenseLP.
+// revised simplex by default, the dense tableau under EngineDense.
 // Whenever the parent's basis is available the engine warm-starts: the
 // root (and any engine-forced refactorization) pays for a full two-phase
 // primal solve, every other node applies its one bound delta to an

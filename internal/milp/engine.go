@@ -9,7 +9,7 @@ import (
 // lpEngine abstracts the per-node LP solver behind branch-and-bound. Two
 // implementations exist: the sparse revised simplex (default — LU basis +
 // eta file, snapshots are O(bounds)) and the historical dense tableau
-// (Options.DenseLP — the reference implementation, snapshots copy m·n
+// (EngineDense — the reference implementation, snapshots copy m·n
 // cells). Branch-and-bound owns the tree policy; engines own warm-start
 // state, snapshot budgets, and refactorization policy.
 type lpEngine interface {

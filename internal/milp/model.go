@@ -245,12 +245,6 @@ type Options struct {
 	// modes exist for benchmarks and differential tests, which assert all
 	// engine choices agree on statuses and objectives.
 	Engine EngineMode
-	// DenseLP is the historical switch routing every node relaxation
-	// through the dense-tableau simplex; it is kept as an alias for
-	// Engine = EngineDense (the dense path is the reference
-	// implementation). Note the dense engine refuses relaxations above
-	// maxTableauCells; the sparse engine has no such cap.
-	DenseLP bool
 	// NoPresolve disables the per-node presolve (bound tightening at cold
 	// solves, reduced-cost fixing of nonbasic integer variables).
 	// Presolve-on and presolve-off return identical statuses and
@@ -266,9 +260,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IntTol == 0 {
 		o.IntTol = 1e-6
-	}
-	if o.DenseLP && o.Engine == EngineAdaptive {
-		o.Engine = EngineDense
 	}
 	return o
 }
@@ -286,7 +277,7 @@ type Solution struct {
 	Iters int
 	// Refactors counts basis LU factorizations performed by the sparse
 	// revised simplex (crash factorizations plus eta-file-length and
-	// stability-triggered rebuilds). Zero under Options.DenseLP.
+	// stability-triggered rebuilds). Zero under EngineDense.
 	Refactors int
 	// LUFill totals the L+U nonzeros produced by those factorizations —
 	// the solver's fill-in metric.

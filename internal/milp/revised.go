@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements the sparse revised simplex that branch-and-bound
-// uses by default (Options.DenseLP restores the dense tableau). The
-// working problem keeps the dense solver's column layout — structural
+// uses by default (EngineDense selects the dense tableau). The working
+// problem keeps the dense solver's column layout — structural
 // variables, slacks, artificials — but the constraint matrix lives in
 // CSC/CSR form (sparse.go) and the basis inverse is an LU factorization
 // plus an eta file (lu.go). Each iteration prices against a fresh BTRAN of

@@ -18,7 +18,7 @@ func solveBoth(t *testing.T, name string, m *Model) (*Solution, *Solution) {
 	if err != nil {
 		t.Fatalf("%s: sparse solve: %v", name, err)
 	}
-	dense, err := Solve(m, Options{DenseLP: true})
+	dense, err := Solve(m, Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatalf("%s: dense solve: %v", name, err)
 	}
@@ -106,7 +106,7 @@ func TestSparseDenseRandomMixed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldDense, err := Solve(m, Options{ColdLP: true, DenseLP: true})
+		coldDense, err := Solve(m, Options{ColdLP: true, Engine: EngineDense})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,12 +87,6 @@ type Options struct {
 	CacheSize int
 	// MaxWorkers caps the per-request Workers budget (0 = uncapped).
 	MaxWorkers int
-	// WarmStart additionally seeds changed partitions' MILP solves from the
-	// last optimal assignment with the same model structure. The solver
-	// still proves optimality, but among TIED optima a different one may be
-	// returned — so responses are no longer guaranteed byte-identical to a
-	// fresh one-shot Explain, and the option is off by default.
-	WarmStart bool
 }
 
 // ConflictError reports a Register against a name that is already taken.
@@ -143,11 +137,6 @@ type Metrics struct {
 	// the hit rate is the fraction of MILP sub-problems never re-solved.
 	SolutionHits   int64 `json:"solution_hits"`
 	SolutionMisses int64 `json:"solution_misses"`
-	// WarmStarts/WarmItersSaved aggregate warm-start reuse (Options.WarmStart):
-	// sub-problems seeded from a cached assignment and the simplex
-	// iterations saved versus the previous solve of that structure.
-	WarmStarts     int64 `json:"warm_starts"`
-	WarmItersSaved int64 `json:"warm_iters_saved"`
 }
 
 // sideEntry / indexEntry build a cached prefix exactly once; concurrent
@@ -379,7 +368,6 @@ func (s *Server) Register(name string, db1, db2 *relation.Database) error {
 	db1.FreezeDicts()
 	db2.FreezeDicts()
 	ds := &Dataset{Name: name, solve: core.NewSolveCache(0)}
-	ds.solve.Warm = s.opts.WarmStart
 	ds.cur.Store(newDataVersion(0, db1, db2))
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -407,8 +395,6 @@ func (s *Server) Metrics() Metrics {
 		st := ds.solve.Stats()
 		sol.Hits += st.Hits
 		sol.Misses += st.Misses
-		sol.WarmStarts += st.WarmStarts
-		sol.WarmItersSaved += st.WarmItersSaved
 	}
 	s.mu.RUnlock()
 	return Metrics{
@@ -432,8 +418,6 @@ func (s *Server) Metrics() Metrics {
 		DirtyPartitions: s.dirtyPartitions.Load(),
 		SolutionHits:    sol.Hits,
 		SolutionMisses:  sol.Misses,
-		WarmStarts:      sol.WarmStarts,
-		WarmItersSaved:  sol.WarmItersSaved,
 	}
 }
 
