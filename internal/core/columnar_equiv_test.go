@@ -7,6 +7,7 @@ import (
 
 	"explain3d/internal/datagen"
 	"explain3d/internal/linkage"
+	"explain3d/internal/linkage/linkagetest"
 	"explain3d/internal/schemamap"
 	"explain3d/internal/sqlparse"
 )
@@ -48,7 +49,7 @@ func runEquivalence(t *testing.T, in Input, p Params) {
 		idx[i] = i
 	}
 	popt := linkage.DefaultPairOptions()
-	ref, err := linkage.SimilaritiesPairwise(v1, v2, idx, idx, popt)
+	ref, err := linkagetest.SimilaritiesPairwise(v1, v2, idx, idx, popt)
 	if err != nil {
 		t.Fatal(err)
 	}

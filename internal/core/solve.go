@@ -115,7 +115,7 @@ func solveInstance(ctx context.Context, inst *Instance, p Params, cache *SolveCa
 		enc := encode(inst, sub, p)
 		st.MILPVars = enc.model.NumVars()
 		st.MILPRows = enc.model.NumRows()
-		opt := milp.Options{MaxNodes: p.SolverMaxNodes, WarmStart: warmStart(inst, enc)}
+		opt := milp.Options{WarmStart: warmStart(inst, enc)}
 		sol, err := milp.SolveContext(ctx, enc.model, opt)
 		if err != nil {
 			fail(fmt.Errorf("core: solving sub-problem: %w", err))

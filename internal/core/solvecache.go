@@ -15,7 +15,7 @@ import (
 //
 // A sub-problem's MILP outcome is a pure function of its content: per-tuple
 // impacts and objective constants, the match list with probabilities,
-// cardinality flags, and the node budget. The cache keys on a SHA-256 over
+// and cardinality flags. The cache keys on a SHA-256 over
 // exactly that serialization — in LOCAL coordinates (positions within the
 // sub-problem), so the same partition content hits regardless of where its
 // canonical ids landed after a delta. Cached values store the decoded
@@ -177,7 +177,7 @@ func (f localFrag) globalize(sub *subProblem) *Explanations {
 // subKey hashes everything the sub-problem's solve outcome depends on, in
 // local coordinates: per-tuple impact and objective constants on each side
 // (in sub order), the match list with local endpoints and probability bits,
-// cardinality flags, and the node budget. Iteration runs over slices only —
+// and cardinality flags. Iteration runs over slices only —
 // fully deterministic.
 func subKey(inst *Instance, sub *subProblem, p Params) string {
 	h := sha256.New()
@@ -224,6 +224,5 @@ func subKey(inst *Instance, sub *subProblem, p Params) string {
 		flags |= 2
 	}
 	wInt(flags)
-	wInt(int64(p.SolverMaxNodes))
 	return string(h.Sum(nil))
 }

@@ -119,8 +119,6 @@ type Params struct {
 	// sub-problems share one deadline and in-flight solves cancel
 	// cooperatively when it expires.
 	SolverTimeLimit time.Duration
-	// SolverMaxNodes bounds branch-and-bound nodes per MILP block.
-	SolverMaxNodes int
 	// Workers is the number of sub-problems solved concurrently by
 	// SolveInstanceContext; ExplainContext also uses it for Stage 1 (the
 	// two sides build concurrently unless it is 1, and the candidate scan

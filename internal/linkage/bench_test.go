@@ -1,10 +1,12 @@
-package linkage
+package linkage_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"explain3d/internal/linkage"
+	"explain3d/internal/linkage/linkagetest"
 	"explain3d/internal/relation"
 )
 
@@ -52,17 +54,17 @@ func benchPair(n, v int, seed int64) (*relation.Relation, *relation.Relation) {
 func benchSimilarities(b *testing.B, n, v int, pairwise bool, workers int) {
 	left, right := benchPair(n, v, 99)
 	idx := []int{0, 1}
-	opt := DefaultPairOptions()
+	opt := linkage.DefaultPairOptions()
 	opt.Workers = workers
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		var ms []Match
+		var ms []linkage.Match
 		var err error
 		if pairwise {
-			ms, err = SimilaritiesPairwise(left, right, idx, idx, opt)
+			ms, err = linkagetest.SimilaritiesPairwise(left, right, idx, idx, opt)
 		} else {
-			ms, err = similarities(left, right, idx, idx, opt)
+			ms, err = linkage.IndexSimilarities(left, right, idx, idx, opt)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -116,15 +118,16 @@ func BenchmarkSimilaritiesInvertedParallel(b *testing.B) {
 func benchPrefixFilter(b *testing.B, off bool) {
 	left, right := benchPair(2000, 200, 99)
 	idx := []int{0, 1}
-	opt := DefaultPairOptions()
+	opt := linkage.DefaultPairOptions()
 	opt.Workers = 1
 	opt.MinSharedTokens = 3
-	disableRowPrefixFilter = off
-	defer func() { disableRowPrefixFilter = false }()
+	if off {
+		opt = linkage.NoRowPrefixFilter(opt)
+	}
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		ms, err := similarities(left, right, idx, idx, opt)
+		ms, err := linkage.IndexSimilarities(left, right, idx, idx, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

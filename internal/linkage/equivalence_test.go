@@ -1,75 +1,14 @@
-package linkage
+package linkage_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"explain3d/internal/linkage"
+	"explain3d/internal/linkage/linkagetest"
 	"explain3d/internal/relation"
 )
-
-// similarities scores left against a freshly built Index over right — the
-// production candidate path — scanning with opt.Workers workers.
-func similarities(left, right *relation.Relation, leftIdx, rightIdx []int, opt PairOptions) ([]Match, error) {
-	ix, err := BuildIndex(right, rightIdx, opt)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Similarities(left, leftIdx, opt.Workers)
-}
-
-// randomRelation builds a relation with a controllable mix of strings
-// (drawn from a shared vocabulary so blocking has work to do), numbers,
-// NULLs, and mixed columns — the adversarial surface of the columnar
-// refactor.
-func randomRelation(rng *rand.Rand, name string, rows, cols int, d *relation.Dict) *relation.Relation {
-	vocab := []string{
-		"computer science", "data science", "electrical engineering",
-		"fine arts", "arts and crafts", "science of logic", "logic",
-		"mech eng", "n/a", "---", "biology 2", "2", "true",
-	}
-	names := make([]string, cols)
-	for j := range names {
-		names[j] = fmt.Sprintf("c%d", j)
-	}
-	var r *relation.Relation
-	if d != nil {
-		r = relation.NewWithDict(d, name, names...)
-	} else {
-		r = relation.New(name, names...)
-	}
-	row := make(relation.Tuple, cols)
-	for i := 0; i < rows; i++ {
-		for j := range row {
-			switch rng.Intn(10) {
-			case 0:
-				row[j] = relation.Null()
-			case 1, 2:
-				row[j] = relation.Int(int64(rng.Intn(6)))
-			case 3:
-				row[j] = relation.Float(float64(rng.Intn(4)) + 0.5)
-			case 4:
-				row[j] = relation.Bool(rng.Intn(2) == 0)
-			default:
-				row[j] = relation.String(vocab[rng.Intn(len(vocab))])
-			}
-		}
-		r.AppendRow(row)
-	}
-	return r
-}
-
-func matchesEqual(t *testing.T, label string, got, want []Match) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d matches, want %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: match %d = %+v, want %+v (order and bits must be identical)", label, i, got[i], want[i])
-		}
-	}
-}
 
 // TestSimilaritiesMatchesPairwiseReference is the acceptance property of
 // the inverted-index rewrite: over random relations — shared or separate
@@ -84,8 +23,8 @@ func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			d = relation.NewDict() // shared-dictionary fast path
 		}
-		left := randomRelation(rng, "L", 1+rng.Intn(60), cols, d)
-		right := randomRelation(rng, "R", 1+rng.Intn(60), cols, d)
+		left := linkage.RandomRelation(rng, "L", 1+rng.Intn(60), cols, d)
+		right := linkage.RandomRelation(rng, "R", 1+rng.Intn(60), cols, d)
 		idx := make([]int, cols)
 		for j := range idx {
 			idx[j] = j
@@ -93,22 +32,22 @@ func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 		// MinSharedTokens up to 4 exercises the skipped-posting-list paths
 		// (global stop-word pruning, per-row prefix filtering with skip
 		// budgets up to 3, and exact candidate verification).
-		opt := PairOptions{
+		opt := linkage.PairOptions{
 			MinSim:          []float64{0, 0.05, 0.3}[rng.Intn(3)],
 			Block:           rng.Intn(4) != 0,
 			MinSharedTokens: 1 + rng.Intn(4),
 		}
-		want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
+		want, err := linkagetest.SimilaritiesPairwise(left, right, idx, idx, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 7} {
 			opt.Workers = workers
-			got, err := similarities(left, right, idx, idx, opt)
+			got, err := linkage.IndexSimilarities(left, right, idx, idx, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			matchesEqual(t, fmt.Sprintf("trial %d workers %d (block=%v shared=%v)", trial, workers, opt.Block, d != nil), got, want)
+			linkage.MatchesEqual(t, fmt.Sprintf("trial %d workers %d (block=%v shared=%v)", trial, workers, opt.Block, d != nil), got, want)
 		}
 	}
 }
@@ -134,8 +73,8 @@ func TestSimilaritiesStopWordPruning(t *testing.T) {
 	}
 	left, right := build("L", 40), build("R", 40)
 	for _, minShared := range []int{2, 3} {
-		opt := PairOptions{MinSim: 0, Block: true, MinSharedTokens: minShared}
-		want, err := SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
+		opt := linkage.PairOptions{MinSim: 0, Block: true, MinSharedTokens: minShared}
+		want, err := linkagetest.SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,11 +83,11 @@ func TestSimilaritiesStopWordPruning(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			opt.Workers = workers
-			got, err := similarities(left, right, []int{0}, []int{0}, opt)
+			got, err := linkage.IndexSimilarities(left, right, []int{0}, []int{0}, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			matchesEqual(t, fmt.Sprintf("stop-word minShared=%d workers=%d", minShared, workers), got, want)
+			linkage.MatchesEqual(t, fmt.Sprintf("stop-word minShared=%d workers=%d", minShared, workers), got, want)
 		}
 	}
 }
@@ -184,8 +123,8 @@ func TestSimilaritiesPerRowPrefixFilter(t *testing.T) {
 	}
 	left, right := build("L", 60), build("R", 60)
 	for _, minShared := range []int{2, 3, 4} {
-		opt := PairOptions{MinSim: 0, Block: true, MinSharedTokens: minShared}
-		want, err := SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
+		opt := linkage.PairOptions{MinSim: 0, Block: true, MinSharedTokens: minShared}
+		want, err := linkagetest.SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,19 +133,17 @@ func TestSimilaritiesPerRowPrefixFilter(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			opt.Workers = workers
-			got, err := similarities(left, right, []int{0}, []int{0}, opt)
+			got, err := linkage.IndexSimilarities(left, right, []int{0}, []int{0}, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			matchesEqual(t, fmt.Sprintf("prefix-filter minShared=%d workers=%d", minShared, workers), got, want)
+			linkage.MatchesEqual(t, fmt.Sprintf("prefix-filter minShared=%d workers=%d", minShared, workers), got, want)
 			// The global-prune-only path (pre-filter behavior) must agree too.
-			disableRowPrefixFilter = true
-			off, err := similarities(left, right, []int{0}, []int{0}, opt)
-			disableRowPrefixFilter = false
+			off, err := linkage.IndexSimilarities(left, right, []int{0}, []int{0}, linkage.NoRowPrefixFilter(opt))
 			if err != nil {
 				t.Fatal(err)
 			}
-			matchesEqual(t, fmt.Sprintf("prefix-filter-off minShared=%d workers=%d", minShared, workers), off, want)
+			linkage.MatchesEqual(t, fmt.Sprintf("prefix-filter-off minShared=%d workers=%d", minShared, workers), off, want)
 		}
 	}
 }
@@ -217,17 +154,63 @@ func TestSimilaritiesPerRowPrefixFilter(t *testing.T) {
 func TestSimilaritiesNumericOnlyColumns(t *testing.T) {
 	left := relation.New("L", "a").Append(int64(1)).Append(2.5).Append(nil)
 	right := relation.New("R", "a").Append(int64(1)).Append(2.0)
-	opt := PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1}
-	want, err := SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
+	opt := linkage.PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1}
+	want, err := linkagetest.SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := similarities(left, right, []int{0}, []int{0}, opt)
+	got, err := linkage.IndexSimilarities(left, right, []int{0}, []int{0}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matchesEqual(t, "numeric-only", got, want)
+	linkage.MatchesEqual(t, "numeric-only", got, want)
 	if len(got) == 0 {
 		t.Fatal("numeric cross product should score at least the exact pair")
+	}
+}
+
+// Regression: column sniffing must scan the whole column, not just the
+// first non-NULL value. A mixed column whose first value is numeric (e.g.
+// IDs, then "N/A") previously lost token similarity and blocking entirely.
+func TestMixedColumnSniffsWholeColumn(t *testing.T) {
+	left := relation.New("L", "v").
+		Append(int64(123)).
+		Append("acme corp")
+	right := relation.New("R", "v").
+		Append(int64(456)).
+		Append("acme holdings")
+
+	lTok := linkagetest.TokenTables(left, left.Tuples(), []int{0})
+	if lTok[0] == nil {
+		t.Fatal("mixed column treated as numeric-only: token table missing")
+	}
+	if _, ok := lTok[0][1]; !ok {
+		t.Fatal("string row of a mixed column has no token set")
+	}
+	if _, ok := lTok[0][0]; !ok {
+		t.Fatal("numeric row of a mixed column needs its value tokens for blocking")
+	}
+
+	// End to end: blocking stays on and the string rows still pair up
+	// through their shared token.
+	ms, err := linkage.IndexSimilarities(left, right, []int{0}, []int{0},
+		linkage.PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, m := range ms {
+		if m.L == 1 && m.R == 1 {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("blocking lost the string pair of a mixed column: %+v", ms)
+	}
+
+	// A numeric-only column must still skip tokenization.
+	num := relation.New("N", "v").Append(int64(1)).Append(int64(2))
+	if tt := linkagetest.TokenTables(num, num.Tuples(), []int{0}); tt[0] != nil {
+		t.Fatal("numeric-only column should have no token table")
 	}
 }

@@ -21,7 +21,7 @@ import (
 // Candidate generation merges, per left row, the posting lists of its
 // tokens with a shared-token counter: a pair is scored when it shares at
 // least MinSharedTokens distinct tokens — the exact match set of the
-// pairwise reference implementation (SimilaritiesPairwise), at
+// pairwise reference implementation in package linkagetest, at
 // O(Σ posting-list products) instead of O(|L|·|R|) blocking probes.
 //
 // An Index is immutable after BuildIndex returns except for the joint token
@@ -307,7 +307,7 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 						}
 					}
 				}
-				if disableRowPrefixFilter {
+				if opt.noRowPrefixFilter {
 					budget = 0
 				}
 				for b := 0; b < budget; b++ {

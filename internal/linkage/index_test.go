@@ -1,4 +1,4 @@
-package linkage
+package linkage_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"explain3d/internal/linkage"
+	"explain3d/internal/linkage/linkagetest"
 	"explain3d/internal/relation"
 )
 
@@ -48,13 +50,13 @@ func TestIndexMatchesOneShot(t *testing.T) {
 	left, right := indexTestRelations(42, 120, 90)
 	idx := []int{0, 1}
 	for _, minShared := range []int{1, 2, 3, 4} {
-		opt := DefaultPairOptions()
+		opt := linkage.DefaultPairOptions()
 		opt.MinSharedTokens = minShared
-		want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
+		want, err := linkagetest.SimilaritiesPairwise(left, right, idx, idx, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := BuildIndex(right, idx, opt)
+		ix, err := linkage.BuildIndex(right, idx, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +65,7 @@ func TestIndexMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			matchesEqual(t, fmt.Sprintf("minShared=%d workers=%d", minShared, workers), got, want)
+			linkage.MatchesEqual(t, fmt.Sprintf("minShared=%d workers=%d", minShared, workers), got, want)
 		}
 	}
 }
@@ -72,13 +74,13 @@ func TestIndexMatchesOneShot(t *testing.T) {
 func TestIndexNoBlocking(t *testing.T) {
 	left, right := indexTestRelations(7, 40, 30)
 	idx := []int{0, 1}
-	opt := DefaultPairOptions()
+	opt := linkage.DefaultPairOptions()
 	opt.Block = false
-	want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
+	want, err := linkagetest.SimilaritiesPairwise(left, right, idx, idx, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildIndex(right, idx, opt)
+	ix, err := linkage.BuildIndex(right, idx, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestIndexNoBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matchesEqual(t, "no blocking", got, want)
+	linkage.MatchesEqual(t, "no blocking", got, want)
 }
 
 // TestIndexConcurrentReuse fires many concurrent scans — different left
@@ -96,9 +98,9 @@ func TestIndexNoBlocking(t *testing.T) {
 func TestIndexConcurrentReuse(t *testing.T) {
 	_, right := indexTestRelations(1, 10, 150)
 	idx := []int{0, 1}
-	opt := DefaultPairOptions()
+	opt := linkage.DefaultPairOptions()
 	opt.MinSharedTokens = 2
-	ix, err := BuildIndex(right, idx, opt)
+	ix, err := linkage.BuildIndex(right, idx, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestIndexConcurrentReuse(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
+			want, err := linkagetest.SimilaritiesPairwise(left, right, idx, idx, opt)
 			if err != nil {
 				t.Error(err)
 				return
@@ -137,10 +139,10 @@ func TestIndexConcurrentReuse(t *testing.T) {
 // TestIndexErrors pins the argument validation of the prebuilt-index path.
 func TestIndexErrors(t *testing.T) {
 	_, right := indexTestRelations(3, 5, 5)
-	if _, err := BuildIndex(right, nil, DefaultPairOptions()); err == nil {
-		t.Fatal("BuildIndex with no attributes should fail")
+	if _, err := linkage.BuildIndex(right, nil, linkage.DefaultPairOptions()); err == nil {
+		t.Fatal("linkage.BuildIndex with no attributes should fail")
 	}
-	ix, err := BuildIndex(right, []int{0, 1}, DefaultPairOptions())
+	ix, err := linkage.BuildIndex(right, []int{0, 1}, linkage.DefaultPairOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,52 +270,6 @@ func TestRSwooshErrors(t *testing.T) {
 	}
 }
 
-// Regression: column sniffing must scan the whole column, not just the
-// first non-NULL value. A mixed column whose first value is numeric (e.g.
-// IDs, then "N/A") previously lost token similarity and blocking entirely.
-func TestMixedColumnSniffsWholeColumn(t *testing.T) {
-	left := relation.New("L", "v").
-		Append(int64(123)).
-		Append("acme corp")
-	right := relation.New("R", "v").
-		Append(int64(456)).
-		Append("acme holdings")
-
-	lTok := tokenTables(left, left.Tuples(), []int{0})
-	if lTok[0] == nil {
-		t.Fatal("mixed column treated as numeric-only: token table missing")
-	}
-	if _, ok := lTok[0][1]; !ok {
-		t.Fatal("string row of a mixed column has no token set")
-	}
-	if _, ok := lTok[0][0]; !ok {
-		t.Fatal("numeric row of a mixed column needs its value tokens for blocking")
-	}
-
-	// End to end: blocking stays on and the string rows still pair up
-	// through their shared token.
-	ms, err := similarities(left, right, []int{0}, []int{0},
-		PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range ms {
-		if m.L == 1 && m.R == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("blocking lost the string pair of a mixed column: %+v", ms)
-	}
-
-	// A numeric-only column must still skip tokenization.
-	num := relation.New("N", "v").Append(int64(1)).Append(int64(2))
-	if tt := tokenTables(num, num.Tuples(), []int{0}); tt[0] != nil {
-		t.Fatal("numeric-only column should have no token table")
-	}
-}
-
 // Regression: turning blocking on for a mixed column must not lose
 // numeric↔numeric matches within it — numeric rows are blocked by their
 // canonical value string and scored with numeric similarity.

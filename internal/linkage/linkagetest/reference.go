@@ -1,19 +1,24 @@
-package linkage
+// Package linkagetest holds the pairwise reference implementation of
+// linkage candidate generation. Only tests and benchmarks import it: it is
+// the oracle the columnar linkage.Index is checked against, and it is
+// never linked into the library or the commands.
+package linkagetest
 
 import (
 	"fmt"
 	"sort"
 
+	"explain3d/internal/linkage"
 	"explain3d/internal/relation"
 )
 
 // SimilaritiesPairwise is the pre-columnar reference implementation of
-// Index.Similarities: per-row string-keyed token sets, a string-keyed inverted
-// index, and a per-left-row candidate map probed pairwise. It is retained
-// (sequentially, single-threaded) as the ground truth for the equivalence
-// property tests and as the baseline side of the Stage-1 benchmarks —
-// Index.Similarities must return the exact same match list.
-func SimilaritiesPairwise(left, right *relation.Relation, leftIdx, rightIdx []int, opt PairOptions) ([]Match, error) {
+// linkage.Index.Similarities: per-row string-keyed token sets, a
+// string-keyed inverted index, and a per-left-row candidate map probed
+// pairwise. It is the ground truth for the equivalence property tests and
+// the baseline side of the Stage-1 benchmarks — Index.Similarities must
+// return the exact same match list.
+func SimilaritiesPairwise(left, right *relation.Relation, leftIdx, rightIdx []int, opt linkage.PairOptions) ([]linkage.Match, error) {
 	if len(leftIdx) != len(rightIdx) || len(leftIdx) == 0 {
 		return nil, fmt.Errorf("linkage: need equal, non-empty attribute index lists (got %d and %d)", len(leftIdx), len(rightIdx))
 	}
@@ -21,21 +26,21 @@ func SimilaritiesPairwise(left, right *relation.Relation, leftIdx, rightIdx []in
 		opt.MinSharedTokens = 1
 	}
 	lRows, rRows := left.Tuples(), right.Tuples()
-	lTok := tokenTables(left, lRows, leftIdx)
-	rTok := tokenTables(right, rRows, rightIdx)
-	score := func(i, j int, out []Match) []Match {
+	lTok := TokenTables(left, lRows, leftIdx)
+	rTok := TokenTables(right, rRows, rightIdx)
+	score := func(i, j int, out []linkage.Match) []linkage.Match {
 		total := 0.0
 		for k := range leftIdx {
 			lv, rv := lRows[i][leftIdx[k]], rRows[j][rightIdx[k]]
 			if lTok[k] != nil && rTok[k] != nil && !lv.IsNull() && !rv.IsNull() && !(lv.IsNumeric() && rv.IsNumeric()) {
-				total += JaccardTokens(lTok[k][i], rTok[k][j])
+				total += linkage.JaccardTokens(lTok[k][i], rTok[k][j])
 			} else {
-				total += ValueSim(lv, rv)
+				total += linkage.ValueSim(lv, rv)
 			}
 		}
 		s := total / float64(len(leftIdx))
 		if s >= opt.MinSim && s > 0 {
-			out = append(out, Match{L: i, R: j, Sim: s})
+			out = append(out, linkage.Match{L: i, R: j, Sim: s})
 		}
 		return out
 	}
@@ -67,7 +72,7 @@ func SimilaritiesPairwise(left, right *relation.Relation, leftIdx, rightIdx []in
 			}
 		}
 	}
-	var out []Match
+	var out []linkage.Match
 	for i := range lRows {
 		if !blocked {
 			for j := range rRows {
@@ -106,14 +111,14 @@ func SimilaritiesPairwise(left, right *relation.Relation, leftIdx, rightIdx []in
 	return out, nil
 }
 
-// tokenTables precomputes string-keyed token sets per matched column;
+// TokenTables precomputes string-keyed token sets per matched column;
 // entry k is nil when column k is numeric-only (numeric similarity is used
 // instead). The whole column is scanned: a mixed column whose first value
 // happens to be numeric (e.g. IDs followed by "N/A") still gets token
 // similarity for its string values. Numeric rows of a mixed column are
 // tokenized by their canonical value string, so blocking can still surface
 // numeric↔numeric candidates.
-func tokenTables(r *relation.Relation, rows []relation.Tuple, idx []int) []map[int]map[string]bool {
+func TokenTables(r *relation.Relation, rows []relation.Tuple, idx []int) []map[int]map[string]bool {
 	out := make([]map[int]map[string]bool, len(idx))
 	for k, c := range idx {
 		if r.NumericOnly(c) {
@@ -125,7 +130,7 @@ func tokenTables(r *relation.Relation, rows []relation.Tuple, idx []int) []map[i
 			if v.IsNull() {
 				continue
 			}
-			tbl[i] = TokenSet(v.String())
+			tbl[i] = linkage.TokenSet(v.String())
 		}
 		out[k] = tbl
 	}

@@ -39,17 +39,18 @@ type PairOptions struct {
 	// shared-token counts merge deterministically, so matches are identical
 	// at any shard count. Values above 256 are clamped.
 	Shards int
+
+	// noRowPrefixFilter turns off the per-left-row prefix filter inside the
+	// candidate scan, leaving only the global stop-word prune. Only this
+	// package's differential tests and benchmarks set it; matches are
+	// identical either way.
+	noRowPrefixFilter bool
 }
 
 // DefaultPairOptions enables blocking with the default similarity floor.
 func DefaultPairOptions() PairOptions {
 	return PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1}
 }
-
-// disableRowPrefixFilter turns off the per-left-row prefix filter inside
-// the candidate scan, leaving only the global stop-word prune — the
-// pre-filter behavior, kept reachable for differential tests and benchmarks.
-var disableRowPrefixFilter = false
 
 // matchCol is one matched column's typed row view for the scoring loop:
 // null flags and numeric values are read straight off the columnar typed

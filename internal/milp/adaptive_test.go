@@ -79,7 +79,7 @@ func TestAdaptiveEngineRouting(t *testing.T) {
 	}
 
 	path, want := pathCoverModel(120, 400)
-	psol, err := Solve(path, Options{DisableBlocks: true})
+	psol, err := Solve(path, Options{disableBlocks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPresolveOnOffEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: presolve-on solve: %v", name, err)
 			}
-			off, err := Solve(m, Options{Engine: eng, NoPresolve: true})
+			off, err := Solve(m, Options{Engine: eng, noPresolve: true})
 			if err != nil {
 				t.Fatalf("%s: presolve-off solve: %v", name, err)
 			}
@@ -248,18 +248,17 @@ func TestPresolveTightenUnit(t *testing.T) {
 // TestDevexReducesIterations is the pricing acceptance check: on the
 // path-cover LP the devex candidate-list pricing must need strictly fewer
 // simplex iterations than the Dantzig full-pricing baseline it replaced
-// (toggled via disableDevex), at the same optimal objective.
+// (toggled via Options.devexOff), at the same optimal objective.
 func TestDevexReducesIterations(t *testing.T) {
 	m, want := pathCoverModel(800, 800)
-	opt := Options{Engine: EngineSparse, DisableBlocks: true}
+	opt := Options{Engine: EngineSparse, disableBlocks: true}
 
 	devex, err := Solve(m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disableDevex = true
+	opt.devexOff = true
 	dantzig, err := Solve(m, opt)
-	disableDevex = false
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,9 +288,7 @@ func TestDevexOnOffEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		disableDevex = true
-		dantzig, err := Solve(m, Options{Engine: EngineSparse})
-		disableDevex = false
+		dantzig, err := Solve(m, Options{Engine: EngineSparse, devexOff: true})
 		if err != nil {
 			t.Fatal(err)
 		}

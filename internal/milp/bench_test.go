@@ -61,7 +61,7 @@ func benchmarkBB(b *testing.B, opt Options) {
 
 func BenchmarkBranchAndBoundWarm(b *testing.B) { benchmarkBB(b, Options{}) }
 
-func BenchmarkBranchAndBoundCold(b *testing.B) { benchmarkBB(b, Options{ColdLP: true}) }
+func BenchmarkBranchAndBoundCold(b *testing.B) { benchmarkBB(b, Options{coldLP: true}) }
 
 // BenchmarkSparseVsDense compares per-pivot cost of the two LP engines on
 // a single large block sized just under the dense cell cap (the dense
@@ -116,9 +116,7 @@ func BenchmarkSparseVsDenseDense(b *testing.B) { benchmarkEngine(b, 800, Options
 func BenchmarkDevexOn(b *testing.B) { benchmarkEngine(b, 800, Options{Engine: EngineSparse}) }
 
 func BenchmarkDevexOff(b *testing.B) {
-	disableDevex = true
-	defer func() { disableDevex = false }()
-	benchmarkEngine(b, 800, Options{Engine: EngineSparse})
+	benchmarkEngine(b, 800, Options{Engine: EngineSparse, devexOff: true})
 }
 
 // pigeonBenchModel is the infeasibility-heavy pigeonhole tree (holes+1
@@ -171,4 +169,4 @@ func benchmarkPresolve(b *testing.B, opt Options) {
 
 func BenchmarkPresolveOn(b *testing.B) { benchmarkPresolve(b, Options{}) }
 
-func BenchmarkPresolveOff(b *testing.B) { benchmarkPresolve(b, Options{NoPresolve: true}) }
+func BenchmarkPresolveOff(b *testing.B) { benchmarkPresolve(b, Options{noPresolve: true}) }

@@ -30,7 +30,6 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
 	var deadline time.Time
 	if opt.TimeLimit > 0 {
 		deadline = time.Now().Add(opt.TimeLimit)
@@ -59,7 +58,7 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 		}
 	}
 
-	blocks := m.blocks(opt.DisableBlocks)
+	blocks := m.blocks(opt.disableBlocks)
 	sol := &Solution{X: make([]float64, len(m.vars)), Blocks: len(blocks), Status: StatusOptimal}
 	sol.Objective = m.objConst
 
@@ -265,7 +264,7 @@ type bbNode struct {
 // Whenever the parent's basis is available the engine warm-starts: the
 // root (and any engine-forced refactorization) pays for a full two-phase
 // primal solve, every other node applies its one bound delta to an
-// existing optimal basis and repairs it with dual pivots. Options.ColdLP
+// existing optimal basis and repairs it with dual pivots. Options.coldLP
 // restores the historical solve-from-scratch behavior.
 func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, deadline time.Time) bbResult {
 	n := len(m.vars)
@@ -307,17 +306,17 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 	// The LP engine holds all warm-start state: the most recently solved
 	// node's optimal basis (identified by seq; 0 = none), the snapshot
 	// memory budget, and the refactorization policy.
-	useWarm := !opt.ColdLP
+	useWarm := !opt.coldLP
 	dense := opt.Engine == EngineDense ||
 		(opt.Engine == EngineAdaptive && chooseDense(m, len(intVars)))
 	var eng lpEngine
 	if dense {
 		eng = &denseEngine{ctx: ctx, deadline: deadline, c: c, rows: m.rows, useWarm: useWarm}
 	} else {
-		eng = &sparseEngine{ctx: ctx, deadline: deadline, c: c, rows: m.rows, useWarm: useWarm}
+		eng = &sparseEngine{ctx: ctx, deadline: deadline, c: c, rows: m.rows, useWarm: useWarm, devexOff: opt.devexOff}
 	}
 	var pre *presolver
-	if !opt.NoPresolve {
+	if !opt.noPresolve {
 		pre = newPresolver(m)
 	}
 
@@ -377,7 +376,7 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 			nodes: nodes, iters: eng.iters(), refactors: rf, luFill: lf, certInfeas: ci}
 	}
 	for len(stack) > 0 {
-		if nodes >= opt.MaxNodes || expired() {
+		if nodes >= maxNodes || expired() {
 			hitLimit = true
 			break
 		}
@@ -420,12 +419,12 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 		}
 		// Find the highest-priority, most fractional integer variable.
 		branchVar := -1
-		worst := opt.IntTol
+		worst := intTol
 		bestPri := math.MinInt32
 		for _, iv := range intVars {
 			f := x[iv] - math.Floor(x[iv])
 			frac := math.Min(f, 1-f)
-			if frac <= opt.IntTol {
+			if frac <= intTol {
 				continue
 			}
 			pri := m.vars[iv].pri
@@ -463,11 +462,6 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 					best = robj
 					bestX = rounded
 				}
-			}
-		}
-		if opt.RelGap > 0 && bestX != nil {
-			if (best-obj)/math.Max(1e-9, math.Abs(best)) <= opt.RelGap {
-				continue
 			}
 		}
 		// Branch: explore the side nearest the LP value first (pushed

@@ -182,6 +182,7 @@ type sparseEngine struct {
 	c        []float64
 	rows     []rowData
 	useWarm  bool
+	devexOff bool
 
 	lp        *sparseLP
 	curSeq    uint64
@@ -192,13 +193,13 @@ type sparseEngine struct {
 	// optimal state — the precondition for reading duals in rcFix. It is
 	// false after the (effectively unreachable) dense fallback of cold and
 	// after failed warm solves, independent of curSeq, which also goes to
-	// zero under Options.ColdLP where rcFix is still valid.
+	// zero under Options.coldLP where rcFix is still valid.
 	solvedOK bool
 }
 
 func (e *sparseEngine) ensure() *sparseLP {
 	if e.lp == nil {
-		e.lp = newSparseLP(e.c, e.rows)
+		e.lp = newSparseLP(e.c, e.rows, e.devexOff)
 		e.lp.ctx = e.ctx
 		e.lp.deadline = e.deadline
 	}

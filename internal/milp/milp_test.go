@@ -152,7 +152,7 @@ func TestBlockDecomposition(t *testing.T) {
 		t.Fatalf("obj = %v, want 8", sol.Objective)
 	}
 	// Disabling blocks must give the same answer.
-	sol2, err := Solve(m, Options{DisableBlocks: true})
+	sol2, err := Solve(m, Options{disableBlocks: true})
 	if err != nil {
 		t.Fatal(err)
 	}

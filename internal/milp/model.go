@@ -223,46 +223,38 @@ type Options struct {
 	// callers may instead (or additionally) put a deadline on the context;
 	// the earlier bound wins.
 	TimeLimit time.Duration
-	// MaxNodes bounds branch-and-bound nodes per block (0 = default 200000).
-	MaxNodes int
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
-	// RelGap stops a block when (bound-incumbent)/|incumbent| falls below it.
-	RelGap float64
 	// WarmStart optionally provides a feasible assignment used as the
 	// initial incumbent (length must equal NumVars).
 	WarmStart []float64
-	// DisableBlocks turns off block decomposition (solve as one problem).
-	DisableBlocks bool
-	// ColdLP disables the warm-started dual simplex: every branch-and-bound
-	// node rebuilds its basis and solves phase 1/phase 2 from scratch.
-	// The warm and cold paths return identical statuses and objectives;
-	// this switch exists for benchmarks, equivalence tests, and as an
-	// escape hatch.
-	ColdLP bool
 	// Engine picks the per-node LP engine. The zero value (EngineAdaptive)
 	// chooses dense vs sparse per block from the block's shape; the forced
 	// modes exist for benchmarks and differential tests, which assert all
 	// engine choices agree on statuses and objectives.
 	Engine EngineMode
-	// NoPresolve disables the per-node presolve (bound tightening at cold
+
+	// The switches below are differential-test hooks, set only by this
+	// package's tests; every setting returns identical statuses and
+	// objectives.
+	//
+	// disableBlocks turns off block decomposition (solve as one problem).
+	disableBlocks bool
+	// coldLP disables the warm-started dual simplex: every branch-and-bound
+	// node rebuilds its basis and solves phase 1/phase 2 from scratch.
+	coldLP bool
+	// noPresolve disables the per-node presolve (bound tightening at cold
 	// solves, reduced-cost fixing of nonbasic integer variables).
-	// Presolve-on and presolve-off return identical statuses and
-	// objectives; the switch exists for equivalence tests and as an escape
-	// hatch.
-	NoPresolve bool
+	noPresolve bool
+	// devexOff switches the sparse revised simplex from devex to full
+	// Dantzig pricing.
+	devexOff bool
 }
 
-//lint:floatexact option sentinel: the float zero value means unset
-func (o Options) withDefaults() Options {
-	if o.MaxNodes == 0 {
-		o.MaxNodes = 200000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
-	}
-	return o
-}
+const (
+	// maxNodes bounds branch-and-bound nodes per block.
+	maxNodes = 200000
+	// intTol is the integrality tolerance.
+	intTol = 1e-6
+)
 
 // Solution is the result of Solve.
 type Solution struct {

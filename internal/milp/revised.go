@@ -73,8 +73,8 @@ type sparseLP struct {
 
 // newSparseLP builds the block's working problem from a minimization cost
 // vector over nv structural variables and its rows. Bounds are installed
-// per node by solveCold/applyBound.
-func newSparseLP(c []float64, rows []rowData) *sparseLP {
+// per node by solveCold/applyBound. devexOff selects full Dantzig pricing.
+func newSparseLP(c []float64, rows []rowData, devexOff bool) *sparseLP {
 	a := newSparseMatrix(len(c), rows)
 	s := &sparseLP{
 		a: a, m: a.m, n: a.n, nv: a.nv,
@@ -96,17 +96,12 @@ func newSparseLP(c []float64, rows []rowData) *sparseLP {
 		alphaRow: make([]float64, a.n),
 		devexW:   make([]float64, a.n),
 		maxIter:  20000 + 200*(a.m+a.nv),
-		devexOff: disableDevex,
+		devexOff: devexOff,
 	}
 	copy(s.realCost, c)
 	s.devexReset()
 	return s
 }
-
-// disableDevex switches every sparseLP built afterwards to full Dantzig
-// pricing — the measurement hook for the devex-vs-Dantzig differential
-// tests and iteration-count baselines.
-var disableDevex = false
 
 // expired reports whether the deadline passed or the context was canceled.
 func (s *sparseLP) expired() bool {

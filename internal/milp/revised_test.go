@@ -71,7 +71,7 @@ func TestSparseDenseRandomBinaryMatchBruteForce(t *testing.T) {
 }
 
 // Differential property test on mixed integer/continuous models with
-// general bounds, including the ColdLP escape hatch on both engines.
+// general bounds, including the coldLP switch on both engines.
 func TestSparseDenseRandomMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 60; trial++ {
@@ -102,11 +102,11 @@ func TestSparseDenseRandomMixed(t *testing.T) {
 			m.AddConstr(terms, sense, float64(rng.Intn(11)-5), "r")
 		}
 		sparse, _ := solveBoth(t, "random-mixed", m)
-		coldSparse, err := Solve(m, Options{ColdLP: true, Engine: EngineSparse})
+		coldSparse, err := Solve(m, Options{coldLP: true, Engine: EngineSparse})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldDense, err := Solve(m, Options{ColdLP: true, Engine: EngineDense})
+		coldDense, err := Solve(m, Options{coldLP: true, Engine: EngineDense})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestFarkasCertificateOnInfeasibilityHeavyTree(t *testing.T) {
 	}
 	// The certificate replaces cold re-proofs, so the warm sparse solver
 	// must spend fewer iterations than its own cold mode on this tree.
-	cold, err := Solve(m, Options{ColdLP: true, Engine: EngineSparse})
+	cold, err := Solve(m, Options{coldLP: true, Engine: EngineSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestLargeBlockBeyondDenseCap(t *testing.T) {
 	if cells := rows * (vars + 2*rows); cells <= maxTableauCells {
 		t.Fatalf("fixture no longer exceeds the dense cap: %d <= %d", cells, maxTableauCells)
 	}
-	opt := Options{DisableBlocks: true, Engine: EngineSparse} // padding must not split into its own blocks
+	opt := Options{disableBlocks: true, Engine: EngineSparse} // padding must not split into its own blocks
 	dense := opt
 	dense.Engine = EngineDense
 	dsol, err := Solve(m, dense)

@@ -531,7 +531,7 @@ func (ev *evaluator) inSubquerySet(x *sqlparse.InExpr) (*inSet, error) {
 	if set, ok := ev.inCache[x]; ok {
 		return set, nil
 	}
-	subRel, err := ev.run(x.Sub, ev.db)
+	subRel, err := Run(x.Sub, ev.db)
 	if err != nil {
 		return nil, fmt.Errorf("query: evaluating IN subquery: %w", err)
 	}

@@ -132,6 +132,8 @@ func TestCompiledEngineMatchesReferenceCorpus(t *testing.T) {
 		"SELECT COUNT(score) FROM T",
 		"SELECT name, score FROM T",
 		"SELECT DISTINCT score FROM T",
+		"SELECT DISTINCT name, score FROM T",
+		"SELECT name, COUNT(score), SUM(score), MIN(score) FROM T GROUP BY name",
 		"SELECT score, COUNT(*) FROM T GROUP BY score",
 		"SELECT name FROM T WHERE score IN (1, 2.5)",
 		"SELECT name FROM T WHERE name IN ('alpha', 'gamma', 'nope')",
@@ -266,6 +268,10 @@ func TestCompiledEngineMatchesReferenceProperty(t *testing.T) {
 			"SELECT a FROM T1 WHERE a IN (SELECT a FROM T2)",
 			fmt.Sprintf("SELECT a FROM T1 WHERE b NOT IN (SELECT b FROM T2 WHERE %s)", pred()),
 			"SELECT c, COUNT(a) FROM T1 GROUP BY c",
+			"SELECT DISTINCT a, b, c FROM T1",
+			"SELECT DISTINCT b + 1, a FROM T1",
+			"SELECT a, COUNT(b) AS n, SUM(b) AS s, AVG(b) AS m FROM T1 GROUP BY a",
+			"SELECT b, c, MIN(a), MAX(a), COUNT(*) FROM T1 GROUP BY b, c",
 		}
 		for _, sql := range queries {
 			checkQuery(t, fmt.Sprintf("trial %d", trial), sql, db)

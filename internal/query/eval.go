@@ -15,302 +15,21 @@ import (
 	"explain3d/internal/sqlparse"
 )
 
-// evaluator carries cross-expression state: the database for subqueries,
-// caches so each uncorrelated IN-subquery runs once (string-keyed for the
-// row-at-a-time reference path, packed-key for the compiled path), a LIKE
-// regexp cache, and the engine used to evaluate nested SELECTs — the
-// compiled engine and the reference engine each recurse into themselves.
+// evaluator carries cross-expression state for the compiled engine: the
+// database for subqueries, a packed-key cache so each uncorrelated
+// IN-subquery runs once, and a LIKE regexp cache.
 type evaluator struct {
-	db       *relation.Database
-	run      func(*sqlparse.Select, *relation.Database) (*relation.Relation, error)
-	subCache map[*sqlparse.InExpr]map[string]bool
-	inCache  map[*sqlparse.InExpr]*inSet
-	likeRE   map[string]*regexp.Regexp
+	db      *relation.Database
+	inCache map[*sqlparse.InExpr]*inSet
+	likeRE  map[string]*regexp.Regexp
 }
 
 func newEvaluator(db *relation.Database) *evaluator {
 	return &evaluator{
-		db:       db,
-		run:      Run,
-		subCache: make(map[*sqlparse.InExpr]map[string]bool),
-		inCache:  make(map[*sqlparse.InExpr]*inSet),
-		likeRE:   make(map[string]*regexp.Regexp),
+		db:      db,
+		inCache: make(map[*sqlparse.InExpr]*inSet),
+		likeRE:  make(map[string]*regexp.Regexp),
 	}
-}
-
-// newReferenceEvaluator builds an evaluator whose subqueries run on the
-// reference engine, keeping differential tests engine-pure.
-func newReferenceEvaluator(db *relation.Database) *evaluator {
-	ev := newEvaluator(db)
-	ev.run = RunReference
-	return ev
-}
-
-// evalScalar evaluates a scalar expression against one row.
-func (ev *evaluator) evalScalar(e sqlparse.Expr, sch *relation.Schema, row relation.Tuple) (relation.Value, error) {
-	switch x := e.(type) {
-	case *sqlparse.Literal:
-		switch v := x.Val.(type) {
-		case nil:
-			return relation.Null(), nil
-		case string:
-			return relation.String(v), nil
-		case int64:
-			return relation.Int(v), nil
-		case float64:
-			return relation.Float(v), nil
-		case bool:
-			return relation.Bool(v), nil
-		default:
-			return relation.Null(), fmt.Errorf("query: unsupported literal %T", x.Val)
-		}
-	case *sqlparse.ColumnRef:
-		i, err := sch.Index(x.String())
-		if err != nil {
-			return relation.Null(), err
-		}
-		return row[i], nil
-	case *sqlparse.UnaryExpr:
-		if x.Op == "-" {
-			v, err := ev.evalScalar(x.Expr, sch, row)
-			if err != nil {
-				return relation.Null(), err
-			}
-			if v.IsNull() {
-				return relation.Null(), nil
-			}
-			f, ok := v.AsFloat()
-			if !ok {
-				return relation.Null(), fmt.Errorf("query: cannot negate %v", v)
-			}
-			if v.Kind() == relation.KindInt {
-				return relation.Int(-v.IntVal()), nil
-			}
-			return relation.Float(-f), nil
-		}
-		// Boolean NOT used in scalar position.
-		b, err := ev.evalPred(x, sch, row)
-		if err != nil {
-			return relation.Null(), err
-		}
-		return relation.Bool(b), nil
-	case *sqlparse.BinaryExpr:
-		switch x.Op {
-		case "+", "-", "*", "/":
-			return ev.evalArith(x, sch, row)
-		default:
-			b, err := ev.evalPred(x, sch, row)
-			if err != nil {
-				return relation.Null(), err
-			}
-			return relation.Bool(b), nil
-		}
-	case *sqlparse.InExpr, *sqlparse.LikeExpr, *sqlparse.IsNullExpr:
-		b, err := ev.evalPred(e, sch, row)
-		if err != nil {
-			return relation.Null(), err
-		}
-		return relation.Bool(b), nil
-	default:
-		return relation.Null(), fmt.Errorf("query: unsupported expression %T", e)
-	}
-}
-
-func (ev *evaluator) evalArith(x *sqlparse.BinaryExpr, sch *relation.Schema, row relation.Tuple) (relation.Value, error) {
-	l, err := ev.evalScalar(x.Left, sch, row)
-	if err != nil {
-		return relation.Null(), err
-	}
-	r, err := ev.evalScalar(x.Right, sch, row)
-	if err != nil {
-		return relation.Null(), err
-	}
-	if l.IsNull() || r.IsNull() {
-		return relation.Null(), nil
-	}
-	lf, lok := l.AsFloat()
-	rf, rok := r.AsFloat()
-	if !lok || !rok {
-		return relation.Null(), fmt.Errorf("query: non-numeric operands for %s: %v, %v", x.Op, l, r)
-	}
-	bothInt := l.Kind() == relation.KindInt && r.Kind() == relation.KindInt
-	switch x.Op {
-	case "+":
-		if bothInt {
-			return relation.Int(l.IntVal() + r.IntVal()), nil
-		}
-		return relation.Float(lf + rf), nil
-	case "-":
-		if bothInt {
-			return relation.Int(l.IntVal() - r.IntVal()), nil
-		}
-		return relation.Float(lf - rf), nil
-	case "*":
-		if bothInt {
-			return relation.Int(l.IntVal() * r.IntVal()), nil
-		}
-		return relation.Float(lf * rf), nil
-	case "/":
-		if rf == 0 {
-			return relation.Null(), nil
-		}
-		return relation.Float(lf / rf), nil
-	}
-	return relation.Null(), fmt.Errorf("query: unknown arithmetic op %q", x.Op)
-}
-
-// evalPred evaluates a predicate with SQL-ish semantics where NULL
-// comparisons are false.
-func (ev *evaluator) evalPred(e sqlparse.Expr, sch *relation.Schema, row relation.Tuple) (bool, error) {
-	switch x := e.(type) {
-	case *sqlparse.BinaryExpr:
-		switch x.Op {
-		case "AND":
-			l, err := ev.evalPred(x.Left, sch, row)
-			if err != nil {
-				return false, err
-			}
-			if !l {
-				return false, nil
-			}
-			return ev.evalPred(x.Right, sch, row)
-		case "OR":
-			l, err := ev.evalPred(x.Left, sch, row)
-			if err != nil {
-				return false, err
-			}
-			if l {
-				return true, nil
-			}
-			return ev.evalPred(x.Right, sch, row)
-		case "=", "<>", "<", "<=", ">", ">=":
-			l, err := ev.evalScalar(x.Left, sch, row)
-			if err != nil {
-				return false, err
-			}
-			r, err := ev.evalScalar(x.Right, sch, row)
-			if err != nil {
-				return false, err
-			}
-			if l.IsNull() || r.IsNull() {
-				return false, nil
-			}
-			c, ok := l.Compare(r)
-			if !ok {
-				// Incomparable values are unequal rather than an error:
-				// heterogeneous columns are routine in dirty data.
-				return x.Op == "<>", nil
-			}
-			switch x.Op {
-			case "=":
-				return c == 0, nil
-			case "<>":
-				return c != 0, nil
-			case "<":
-				return c < 0, nil
-			case "<=":
-				return c <= 0, nil
-			case ">":
-				return c > 0, nil
-			case ">=":
-				return c >= 0, nil
-			}
-		}
-		return false, fmt.Errorf("query: unsupported boolean op %q", x.Op)
-	case *sqlparse.UnaryExpr:
-		if x.Op != "NOT" {
-			return false, fmt.Errorf("query: %q is not a predicate", x.Op)
-		}
-		b, err := ev.evalPred(x.Expr, sch, row)
-		return !b, err
-	case *sqlparse.IsNullExpr:
-		v, err := ev.evalScalar(x.Expr, sch, row)
-		if err != nil {
-			return false, err
-		}
-		if x.Negate {
-			return !v.IsNull(), nil
-		}
-		return v.IsNull(), nil
-	case *sqlparse.LikeExpr:
-		v, err := ev.evalScalar(x.Expr, sch, row)
-		if err != nil {
-			return false, err
-		}
-		if v.IsNull() {
-			return false, nil
-		}
-		re, err := ev.likePattern(x.Pattern)
-		if err != nil {
-			return false, err
-		}
-		m := re.MatchString(v.String())
-		if x.Negate {
-			return !m, nil
-		}
-		return m, nil
-	case *sqlparse.InExpr:
-		return ev.evalIn(x, sch, row)
-	case *sqlparse.Literal:
-		if b, ok := x.Val.(bool); ok {
-			return b, nil
-		}
-		return false, fmt.Errorf("query: literal %v is not a predicate", x.Val)
-	case *sqlparse.ColumnRef:
-		v, err := ev.evalScalar(x, sch, row)
-		if err != nil {
-			return false, err
-		}
-		return v.Kind() == relation.KindBool && v.BoolVal(), nil
-	default:
-		return false, fmt.Errorf("query: unsupported predicate %T", e)
-	}
-}
-
-func (ev *evaluator) evalIn(x *sqlparse.InExpr, sch *relation.Schema, row relation.Tuple) (bool, error) {
-	v, err := ev.evalScalar(x.Expr, sch, row)
-	if err != nil {
-		return false, err
-	}
-	if v.IsNull() {
-		return false, nil
-	}
-	var member bool
-	if x.Sub != nil {
-		set, ok := ev.subCache[x]
-		if !ok {
-			subRel, err := ev.run(x.Sub, ev.db)
-			if err != nil {
-				return false, fmt.Errorf("query: evaluating IN subquery: %w", err)
-			}
-			if subRel.Schema.Len() != 1 {
-				return false, fmt.Errorf("query: IN subquery must return one column, got %d", subRel.Schema.Len())
-			}
-			set = make(map[string]bool, subRel.Len())
-			for i := 0; i < subRel.Len(); i++ {
-				if v := subRel.At(i, 0); !v.IsNull() {
-					set[v.Key()] = true
-				}
-			}
-			ev.subCache[x] = set
-		}
-		member = set[v.Key()]
-	} else {
-		for _, item := range x.List {
-			iv, err := ev.evalScalar(item, sch, row)
-			if err != nil {
-				return false, err
-			}
-			if v.Equal(iv) {
-				member = true
-				break
-			}
-		}
-	}
-	if x.Negate {
-		return !member, nil
-	}
-	return member, nil
 }
 
 // likePattern compiles a SQL LIKE pattern (% and _ wildcards, case

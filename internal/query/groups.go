@@ -2,40 +2,20 @@ package query
 
 import "explain3d/internal/relation"
 
-// Group/distinct key tables. A grouper assigns dense ids 0, 1, 2, … to the
-// distinct key rows it sees, in first-appearance order: at(keys, i) returns
-// the id of row i's key and whether this call created it. Row i becomes the
-// id's representative, so keys must keep position i valid for the grouper's
-// lifetime (DISTINCT over computed rows passes tentatively appended keys
-// for exactly this reason).
+// flatGroups is the group/distinct key table: it assigns dense ids 0, 1,
+// 2, … to the distinct key rows it sees, in first-appearance order. at(keys,
+// i) returns the id of row i's key and whether this call created it. Row i
+// becomes the id's representative, so keys must keep position i valid for
+// the table's lifetime (DISTINCT over computed rows passes tentatively
+// appended keys for exactly this reason).
 //
-// The production implementation is flatGroups — the incremental counterpart
-// of the hash join's joinIndex: a flat open-addressing table keyed on the
-// 64-bit row-key hash with per-id next links chaining duplicates, grown by
-// rehashing when load passes 50%. mapGroups preserves the retired
-// map[uint64][]int32 structure (one boxed slice per distinct hash) and
-// stays reachable through useMapGrouping so differential tests can prove
-// the flat table byte-identical.
-type grouper interface {
-	at(keys [][]relation.CellKey, i int) (int32, bool)
-}
-
-// useMapGrouping routes DISTINCT and GROUP BY through the retired map-based
-// key table; the flat≡map differential tests flip it.
-var useMapGrouping = false
-
-func newGrouper(hint int) grouper {
-	if useMapGrouping {
-		return newMapGroups(hint)
-	}
-	return newFlatGroups(hint)
-}
-
-// flatGroups is the flat open-addressing key table. Slots hold the row-key
-// hash of their chain (heads[s] < 0 = empty, linear probing, ≤50% load);
-// ids chain through next in most-recent-first order — chain order is
-// irrelevant to correctness because at most one entry of a chain can
-// compare equal to any probe row.
+// It is the incremental counterpart of the hash join's joinIndex: a flat
+// open-addressing table keyed on the 64-bit row-key hash with per-id next
+// links chaining duplicates, grown by rehashing when load passes 50%. Slots
+// hold the row-key hash of their chain (heads[s] < 0 = empty, linear
+// probing, ≤50% load); ids chain through next in most-recent-first order —
+// chain order is irrelevant to correctness because at most one entry of a
+// chain can compare equal to any probe row.
 type flatGroups struct {
 	mask  uint64
 	slotH []uint64 // slot → hash of its chain
@@ -117,29 +97,4 @@ func (g *flatGroups) grow() {
 		g.next[id] = g.heads[s]
 		g.heads[s] = int32(id)
 	}
-}
-
-// mapGroups is the retired map-backed key table (the pre-flat structure of
-// rowDeduper and groupProject's buckets), kept as the differential
-// reference for the flat table.
-type mapGroups struct {
-	buckets map[uint64][]int32 // hash → ids of its chain, in creation order
-	reps    []int32
-}
-
-func newMapGroups(hint int) *mapGroups {
-	return &mapGroups{buckets: make(map[uint64][]int32, groupSizeHint(hint))}
-}
-
-func (g *mapGroups) at(keys [][]relation.CellKey, i int) (int32, bool) {
-	h := relation.HashRow(keys, i)
-	for _, id := range g.buckets[h] {
-		if relation.RowKeysEqual(keys, i, keys, int(g.reps[id])) {
-			return id, false
-		}
-	}
-	id := int32(len(g.reps))
-	g.reps = append(g.reps, int32(i))
-	g.buckets[h] = append(g.buckets[h], id)
-	return id, true
 }

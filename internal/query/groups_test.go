@@ -9,58 +9,100 @@ import (
 	"explain3d/internal/sqlparse"
 )
 
-// runWithMapGrouping evaluates sql with the retired map-backed key table.
-func runWithMapGrouping(sel *sqlparse.Select, db *relation.Database) (*relation.Relation, error) {
-	useMapGrouping = true
-	defer func() { useMapGrouping = false }()
-	return Run(sel, db)
+// mapGroups is the retired map-backed key table (the pre-flat structure of
+// rowDeduper and groupProject's buckets, map[uint64][]int32 with one boxed
+// chain slice per distinct hash), kept as the differential reference for
+// flatGroups.
+type mapGroups struct {
+	buckets map[uint64][]int32 // hash → ids of its chain, in creation order
+	reps    []int32
 }
 
-// TestFlatGroupingMatchesMapGrouping is the flat≡map differential: every
-// DISTINCT and GROUP BY workload — fixture corpus plus random relations
-// with NULL and mixed-kind keys — must return byte-identical relations
-// whether the key table is the flat open-addressing structure or the
-// retired map[uint64][]int32.
+func newMapGroups(hint int) *mapGroups {
+	return &mapGroups{buckets: make(map[uint64][]int32, groupSizeHint(hint))}
+}
+
+func (g *mapGroups) at(keys [][]relation.CellKey, i int) (int32, bool) {
+	h := relation.HashRow(keys, i)
+	for _, id := range g.buckets[h] {
+		if relation.RowKeysEqual(keys, i, keys, int(g.reps[id])) {
+			return id, false
+		}
+	}
+	id := int32(len(g.reps))
+	g.reps = append(g.reps, int32(i))
+	g.buckets[h] = append(g.buckets[h], id)
+	return id, true
+}
+
+// TestFlatGroupingMatchesMapGrouping is the flat≡map differential: the key
+// columns of every DISTINCT and GROUP BY workload — fixture corpus plus
+// random relations with NULL and mixed-kind keys — must get the identical
+// (id, fresh) sequence from the flat open-addressing table and the retired
+// map[uint64][]int32. Computed keys (b + 1) come from projecting the
+// relation with Run; the end-to-end DISTINCT/GROUP BY results are checked
+// against the reference engine by the TestCompiledEngineMatchesReference
+// tests.
 func TestFlatGroupingMatchesMapGrouping(t *testing.T) {
-	check := func(label, sql string, db *relation.Database) {
+	// check feeds the key columns of sql's result to both tables; it returns
+	// Run's error, under which there are no key rows to compare.
+	check := func(label, sql string, db *relation.Database) error {
 		t.Helper()
-		sel := sqlparse.MustParse(sql)
-		flat, errFlat := Run(sel, db)
-		mp, errMap := runWithMapGrouping(sel, db)
-		if (errFlat != nil) != (errMap != nil) {
-			t.Fatalf("%s: %q: flat err = %v, map err = %v", label, sql, errFlat, errMap)
+		rel, err := Run(sqlparse.MustParse(sql), db)
+		if err != nil {
+			return err
 		}
-		if errFlat == nil {
-			relationsIdentical(t, label+": "+sql, flat, mp)
+		cols := make([]int, rel.Schema.Len())
+		for j := range cols {
+			cols[j] = j
 		}
+		keys := keyColumns(rel, cols, rel.Dict())
+		flat, mp := newFlatGroups(rel.Len()), newMapGroups(rel.Len())
+		for i := 0; i < rel.Len(); i++ {
+			fid, ffresh := flat.at(keys, i)
+			mid, mfresh := mp.at(keys, i)
+			if fid != mid || ffresh != mfresh {
+				t.Fatalf("%s: %q row %d: flat (%d, %v), map (%d, %v)", label, sql, i, fid, ffresh, mid, mfresh)
+			}
+		}
+		return nil
 	}
 
 	db := corpusDB()
 	for _, sql := range []string{
-		"SELECT DISTINCT Program FROM D1",
-		"SELECT DISTINCT Degree, Program FROM D1",
-		"SELECT DISTINCT score FROM T",
-		"SELECT DISTINCT name, score FROM T",
-		"SELECT Program, COUNT(Degree) AS I FROM D1 GROUP BY Program",
-		"SELECT score, COUNT(*) FROM T GROUP BY score",
-		"SELECT name, COUNT(score), SUM(score), MIN(score) FROM T GROUP BY name",
+		"SELECT Program FROM D1",
+		"SELECT Degree, Program FROM D1",
+		"SELECT score FROM T",
+		"SELECT name, score FROM T",
+		"SELECT name FROM T",
 	} {
-		check("corpus", sql, db)
+		if err := check("corpus", sql, db); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(29))
+	computed := 0
 	for trial := 0; trial < 30; trial++ {
 		rdb := randomDB(rng)
 		for _, sql := range []string{
-			"SELECT DISTINCT a FROM T1",
-			"SELECT DISTINCT a, b, c FROM T1",
-			"SELECT DISTINCT b + 1, a FROM T1",
-			"SELECT a, COUNT(b) AS n, SUM(b) AS s, AVG(b) AS m FROM T1 GROUP BY a",
-			"SELECT b, c, MIN(a), MAX(a), COUNT(*) FROM T1 GROUP BY b, c",
-			"SELECT c, COUNT(a) FROM T1 GROUP BY c",
+			"SELECT a FROM T1",
+			"SELECT a, b, c FROM T1",
+			"SELECT b, c FROM T1",
+			"SELECT c FROM T1",
 		} {
-			check(fmt.Sprintf("trial %d", trial), sql, rdb)
+			if err := check(fmt.Sprintf("trial %d", trial), sql, rdb); err != nil {
+				t.Fatal(err)
+			}
 		}
+		// b + 1 fails on a non-numeric b; the engine differential pins that
+		// error, so only the trials that project count here.
+		if check(fmt.Sprintf("trial %d", trial), "SELECT b + 1, a FROM T1", rdb) == nil {
+			computed++
+		}
+	}
+	if computed == 0 {
+		t.Fatal("no trial projected the computed key b + 1")
 	}
 }
 

@@ -465,7 +465,7 @@ func groupSizeHint(rows int) int {
 // returns the selection vector of first occurrences, in order.
 func distinctSel(r *relation.Relation, cols []int) []int32 {
 	keys := keyColumns(r, cols, r.Dict())
-	g := newGrouper(r.Len())
+	g := newFlatGroups(r.Len())
 	var sel32 []int32
 	for i := 0; i < r.Len(); i++ {
 		if _, fresh := g.at(keys, i); fresh {
@@ -966,7 +966,7 @@ func groupProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (
 	}
 
 	var firsts []int32
-	table := newGrouper(src.Len())
+	table := newFlatGroups(src.Len())
 	for r := 0; r < src.Len(); r++ {
 		gi, fresh := table.at(keys, r)
 		if fresh {

@@ -8,17 +8,29 @@ import (
 )
 
 // This file preserves the row-at-a-time evaluator the compiled engine
-// replaced (the same role SimilaritiesPairwise plays for the linkage
-// stage): every operator materializes Tuples, resolves column references
-// by string per row, and hashes join / DISTINCT / GROUP BY keys through
-// Tuple.Key strings. It is the ground truth the equivalence property tests
-// compare the compiled, selection-vector engine against, and the baseline
-// the query benchmarks measure speedups over.
+// replaced (the same role linkagetest.SimilaritiesPairwise plays for the
+// linkage stage): every operator materializes Tuples, resolves column
+// references by string per row, and hashes join / DISTINCT / GROUP BY keys
+// through Tuple.Key strings. It is the ground truth the equivalence
+// property tests compare the compiled, selection-vector engine against, and
+// the baseline the query benchmarks measure speedups over. It lives in a
+// test file so it never ships in the library.
+
+// refEvaluator is the reference engine's evaluator: the compiled engine's
+// evaluator (database and LIKE cache) plus a string-keyed cache so each
+// uncorrelated IN-subquery runs once on the reference engine.
+type refEvaluator struct {
+	*evaluator
+	subCache map[*sqlparse.InExpr]map[string]bool
+}
+
+func newRefEvaluator(db *relation.Database) *refEvaluator {
+	return &refEvaluator{evaluator: newEvaluator(db), subCache: make(map[*sqlparse.InExpr]map[string]bool)}
+}
 
 // RunReference evaluates a SELECT with the row-at-a-time reference engine.
-// Production callers use Run; this exists for differential testing.
 func RunReference(sel *sqlparse.Select, db *relation.Database) (*relation.Relation, error) {
-	ev := newReferenceEvaluator(db)
+	ev := newRefEvaluator(db)
 	src, err := refBuildSource(ev, sel, db)
 	if err != nil {
 		return nil, err
@@ -32,7 +44,7 @@ func ExtractReference(sel *sqlparse.Select, db *relation.Database) (*Provenance,
 	if len(sel.GroupBy) > 0 {
 		return nil, fmt.Errorf("query: provenance extraction does not support GROUP BY queries: %s", sel.String())
 	}
-	ev := newReferenceEvaluator(db)
+	ev := newRefEvaluator(db)
 	src, err := refBuildSource(ev, sel, db)
 	if err != nil {
 		return nil, err
@@ -82,7 +94,7 @@ func ExtractReference(sel *sqlparse.Select, db *relation.Database) (*Provenance,
 }
 
 // refBuildSource materializes σ_c(X) with row-at-a-time filters and joins.
-func refBuildSource(ev *evaluator, sel *sqlparse.Select, db *relation.Database) (*relation.Relation, error) {
+func refBuildSource(ev *refEvaluator, sel *sqlparse.Select, db *relation.Database) (*relation.Relation, error) {
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("query: empty FROM clause")
 	}
@@ -133,7 +145,7 @@ func refBuildSource(ev *evaluator, sel *sqlparse.Select, db *relation.Database) 
 	return cur, nil
 }
 
-func refApplyResolvable(ev *evaluator, cur *relation.Relation, pending []sqlparse.Expr, applied []bool) (*relation.Relation, error) {
+func refApplyResolvable(ev *refEvaluator, cur *relation.Relation, pending []sqlparse.Expr, applied []bool) (*relation.Relation, error) {
 	for i, c := range pending {
 		if applied[i] || !resolvable(c, cur.Schema) {
 			continue
@@ -148,7 +160,7 @@ func refApplyResolvable(ev *evaluator, cur *relation.Relation, pending []sqlpars
 	return cur, nil
 }
 
-func refLoadRef(ev *evaluator, ref *sqlparse.TableRef, db *relation.Database) (*relation.Relation, error) {
+func refLoadRef(ev *refEvaluator, ref *sqlparse.TableRef, db *relation.Database) (*relation.Relation, error) {
 	var rel *relation.Relation
 	if ref.Sub != nil {
 		sub, err := RunReference(ref.Sub, db)
@@ -166,7 +178,7 @@ func refLoadRef(ev *evaluator, ref *sqlparse.TableRef, db *relation.Database) (*
 	return rel.WithSchema(ref.Alias, rel.Schema.WithQualifier(ref.Alias)), nil
 }
 
-func refFilter(ev *evaluator, r *relation.Relation, pred sqlparse.Expr) (*relation.Relation, error) {
+func refFilter(ev *refEvaluator, r *relation.Relation, pred sqlparse.Expr) (*relation.Relation, error) {
 	var keep []int
 	var buf relation.Tuple
 	for i := 0; i < r.Len(); i++ {
@@ -185,7 +197,7 @@ func refFilter(ev *evaluator, r *relation.Relation, pred sqlparse.Expr) (*relati
 // refJoin combines two relations row-at-a-time: right-side tuples are
 // materialized and indexed by Tuple.Key strings, candidate pairs are boxed
 // into combined Tuples and appended cell by cell.
-func refJoin(ev *evaluator, left, right *relation.Relation, conds []sqlparse.Expr) (*relation.Relation, error) {
+func refJoin(ev *refEvaluator, left, right *relation.Relation, conds []sqlparse.Expr) (*relation.Relation, error) {
 	out := relation.NewFromSchema(left.Name+"⋈"+right.Name, left.Schema.Concat(right.Schema), left.Dict())
 	var hashL, hashR []int
 	var rest []sqlparse.Expr
@@ -264,7 +276,7 @@ func hasNull(row relation.Tuple, idx []int) bool {
 	return false
 }
 
-func refProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
+func refProject(ev *refEvaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
 	hasAgg := false
 	for _, it := range sel.Items {
 		if it.Agg != sqlparse.AggNone {
@@ -280,7 +292,7 @@ func refProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (*r
 	return refPlainProject(ev, sel, src)
 }
 
-func refPlainProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
+func refPlainProject(ev *refEvaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
 	names := make([]string, len(sel.Items))
 	for i, it := range sel.Items {
 		names[i] = itemName(it, i)
@@ -314,7 +326,7 @@ func refPlainProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation
 	return out, nil
 }
 
-func refAggregateProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
+func refAggregateProject(ev *refEvaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
 	names := make([]string, len(sel.Items))
 	states := make([]*aggState, len(sel.Items))
 	for i, it := range sel.Items {
@@ -352,7 +364,7 @@ func refAggregateProject(ev *evaluator, sel *sqlparse.Select, src *relation.Rela
 	return out, nil
 }
 
-func refGroupProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
+func refGroupProject(ev *refEvaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
 	gIdx, err := groupIndexes(sel, src)
 	if err != nil {
 		return nil, err
@@ -421,4 +433,271 @@ func refGroupProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation
 		out.AppendRow(rec)
 	}
 	return out, nil
+}
+
+// evalScalar evaluates a scalar expression against one row.
+func (ev *refEvaluator) evalScalar(e sqlparse.Expr, sch *relation.Schema, row relation.Tuple) (relation.Value, error) {
+	switch x := e.(type) {
+	case *sqlparse.Literal:
+		switch v := x.Val.(type) {
+		case nil:
+			return relation.Null(), nil
+		case string:
+			return relation.String(v), nil
+		case int64:
+			return relation.Int(v), nil
+		case float64:
+			return relation.Float(v), nil
+		case bool:
+			return relation.Bool(v), nil
+		default:
+			return relation.Null(), fmt.Errorf("query: unsupported literal %T", x.Val)
+		}
+	case *sqlparse.ColumnRef:
+		i, err := sch.Index(x.String())
+		if err != nil {
+			return relation.Null(), err
+		}
+		return row[i], nil
+	case *sqlparse.UnaryExpr:
+		if x.Op == "-" {
+			v, err := ev.evalScalar(x.Expr, sch, row)
+			if err != nil {
+				return relation.Null(), err
+			}
+			if v.IsNull() {
+				return relation.Null(), nil
+			}
+			f, ok := v.AsFloat()
+			if !ok {
+				return relation.Null(), fmt.Errorf("query: cannot negate %v", v)
+			}
+			if v.Kind() == relation.KindInt {
+				return relation.Int(-v.IntVal()), nil
+			}
+			return relation.Float(-f), nil
+		}
+		// Boolean NOT used in scalar position.
+		b, err := ev.evalPred(x, sch, row)
+		if err != nil {
+			return relation.Null(), err
+		}
+		return relation.Bool(b), nil
+	case *sqlparse.BinaryExpr:
+		switch x.Op {
+		case "+", "-", "*", "/":
+			return ev.evalArith(x, sch, row)
+		default:
+			b, err := ev.evalPred(x, sch, row)
+			if err != nil {
+				return relation.Null(), err
+			}
+			return relation.Bool(b), nil
+		}
+	case *sqlparse.InExpr, *sqlparse.LikeExpr, *sqlparse.IsNullExpr:
+		b, err := ev.evalPred(e, sch, row)
+		if err != nil {
+			return relation.Null(), err
+		}
+		return relation.Bool(b), nil
+	default:
+		return relation.Null(), fmt.Errorf("query: unsupported expression %T", e)
+	}
+}
+
+func (ev *refEvaluator) evalArith(x *sqlparse.BinaryExpr, sch *relation.Schema, row relation.Tuple) (relation.Value, error) {
+	l, err := ev.evalScalar(x.Left, sch, row)
+	if err != nil {
+		return relation.Null(), err
+	}
+	r, err := ev.evalScalar(x.Right, sch, row)
+	if err != nil {
+		return relation.Null(), err
+	}
+	if l.IsNull() || r.IsNull() {
+		return relation.Null(), nil
+	}
+	lf, lok := l.AsFloat()
+	rf, rok := r.AsFloat()
+	if !lok || !rok {
+		return relation.Null(), fmt.Errorf("query: non-numeric operands for %s: %v, %v", x.Op, l, r)
+	}
+	bothInt := l.Kind() == relation.KindInt && r.Kind() == relation.KindInt
+	switch x.Op {
+	case "+":
+		if bothInt {
+			return relation.Int(l.IntVal() + r.IntVal()), nil
+		}
+		return relation.Float(lf + rf), nil
+	case "-":
+		if bothInt {
+			return relation.Int(l.IntVal() - r.IntVal()), nil
+		}
+		return relation.Float(lf - rf), nil
+	case "*":
+		if bothInt {
+			return relation.Int(l.IntVal() * r.IntVal()), nil
+		}
+		return relation.Float(lf * rf), nil
+	case "/":
+		if rf == 0 {
+			return relation.Null(), nil
+		}
+		return relation.Float(lf / rf), nil
+	}
+	return relation.Null(), fmt.Errorf("query: unknown arithmetic op %q", x.Op)
+}
+
+// evalPred evaluates a predicate with SQL-ish semantics where NULL
+// comparisons are false.
+func (ev *refEvaluator) evalPred(e sqlparse.Expr, sch *relation.Schema, row relation.Tuple) (bool, error) {
+	switch x := e.(type) {
+	case *sqlparse.BinaryExpr:
+		switch x.Op {
+		case "AND":
+			l, err := ev.evalPred(x.Left, sch, row)
+			if err != nil {
+				return false, err
+			}
+			if !l {
+				return false, nil
+			}
+			return ev.evalPred(x.Right, sch, row)
+		case "OR":
+			l, err := ev.evalPred(x.Left, sch, row)
+			if err != nil {
+				return false, err
+			}
+			if l {
+				return true, nil
+			}
+			return ev.evalPred(x.Right, sch, row)
+		case "=", "<>", "<", "<=", ">", ">=":
+			l, err := ev.evalScalar(x.Left, sch, row)
+			if err != nil {
+				return false, err
+			}
+			r, err := ev.evalScalar(x.Right, sch, row)
+			if err != nil {
+				return false, err
+			}
+			if l.IsNull() || r.IsNull() {
+				return false, nil
+			}
+			c, ok := l.Compare(r)
+			if !ok {
+				// Incomparable values are unequal rather than an error:
+				// heterogeneous columns are routine in dirty data.
+				return x.Op == "<>", nil
+			}
+			switch x.Op {
+			case "=":
+				return c == 0, nil
+			case "<>":
+				return c != 0, nil
+			case "<":
+				return c < 0, nil
+			case "<=":
+				return c <= 0, nil
+			case ">":
+				return c > 0, nil
+			case ">=":
+				return c >= 0, nil
+			}
+		}
+		return false, fmt.Errorf("query: unsupported boolean op %q", x.Op)
+	case *sqlparse.UnaryExpr:
+		if x.Op != "NOT" {
+			return false, fmt.Errorf("query: %q is not a predicate", x.Op)
+		}
+		b, err := ev.evalPred(x.Expr, sch, row)
+		return !b, err
+	case *sqlparse.IsNullExpr:
+		v, err := ev.evalScalar(x.Expr, sch, row)
+		if err != nil {
+			return false, err
+		}
+		if x.Negate {
+			return !v.IsNull(), nil
+		}
+		return v.IsNull(), nil
+	case *sqlparse.LikeExpr:
+		v, err := ev.evalScalar(x.Expr, sch, row)
+		if err != nil {
+			return false, err
+		}
+		if v.IsNull() {
+			return false, nil
+		}
+		re, err := ev.likePattern(x.Pattern)
+		if err != nil {
+			return false, err
+		}
+		m := re.MatchString(v.String())
+		if x.Negate {
+			return !m, nil
+		}
+		return m, nil
+	case *sqlparse.InExpr:
+		return ev.evalIn(x, sch, row)
+	case *sqlparse.Literal:
+		if b, ok := x.Val.(bool); ok {
+			return b, nil
+		}
+		return false, fmt.Errorf("query: literal %v is not a predicate", x.Val)
+	case *sqlparse.ColumnRef:
+		v, err := ev.evalScalar(x, sch, row)
+		if err != nil {
+			return false, err
+		}
+		return v.Kind() == relation.KindBool && v.BoolVal(), nil
+	default:
+		return false, fmt.Errorf("query: unsupported predicate %T", e)
+	}
+}
+
+func (ev *refEvaluator) evalIn(x *sqlparse.InExpr, sch *relation.Schema, row relation.Tuple) (bool, error) {
+	v, err := ev.evalScalar(x.Expr, sch, row)
+	if err != nil {
+		return false, err
+	}
+	if v.IsNull() {
+		return false, nil
+	}
+	var member bool
+	if x.Sub != nil {
+		set, ok := ev.subCache[x]
+		if !ok {
+			subRel, err := RunReference(x.Sub, ev.db)
+			if err != nil {
+				return false, fmt.Errorf("query: evaluating IN subquery: %w", err)
+			}
+			if subRel.Schema.Len() != 1 {
+				return false, fmt.Errorf("query: IN subquery must return one column, got %d", subRel.Schema.Len())
+			}
+			set = make(map[string]bool, subRel.Len())
+			for i := 0; i < subRel.Len(); i++ {
+				if v := subRel.At(i, 0); !v.IsNull() {
+					set[v.Key()] = true
+				}
+			}
+			ev.subCache[x] = set
+		}
+		member = set[v.Key()]
+	} else {
+		for _, item := range x.List {
+			iv, err := ev.evalScalar(item, sch, row)
+			if err != nil {
+				return false, err
+			}
+			if v.Equal(iv) {
+				member = true
+				break
+			}
+		}
+	}
+	if x.Negate {
+		return !member, nil
+	}
+	return member, nil
 }

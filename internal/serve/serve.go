@@ -35,6 +35,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -63,7 +64,8 @@ type Request struct {
 	Beta  float64 `json:"beta,omitempty"`
 	// BatchSize > 0 enables smart partitioning with that sub-problem bound.
 	BatchSize int `json:"batch_size,omitempty"`
-	// TimeoutMS bounds the solver (0 = 60s default, negative = unlimited).
+	// TimeoutMS bounds the solver (0 = 60s default). Negative values are
+	// rejected with 400: a client cannot switch the solver budget off.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Workers is the per-request parallelism budget (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
@@ -435,6 +437,28 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds the /explain and delta request bodies. The largest
+// bodies the repository's benchmarks send are about 27 KB (a 1%-row update
+// batch over 40k rows); explain requests are a few hundred bytes.
+const maxBodyBytes = 8 << 20
+
+// limitedDecoder decodes r's body, reading at most maxBodyBytes of it.
+func limitedDecoder(w http.ResponseWriter, r *http.Request) *json.Decoder {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+}
+
+// bodyError answers a request whose body failed to decode: 413 when it
+// exceeded maxBodyBytes, 400 for malformed JSON.
+func (s *Server) bodyError(w http.ResponseWriter, err error) {
+	s.errCount.Add(1)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+}
+
 // httpError writes a JSON error body.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -475,9 +499,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	start := time.Now()
 	var rq Request
-	if err := json.NewDecoder(r.Body).Decode(&rq); err != nil {
+	if err := limitedDecoder(w, r).Decode(&rq); err != nil {
+		s.bodyError(w, err)
+		return
+	}
+	if rq.TimeoutMS < 0 {
 		s.errCount.Add(1)
-		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+		httpError(w, http.StatusBadRequest, "timeout_ms must not be negative, got %d", rq.TimeoutMS)
 		return
 	}
 	ds, ok := s.Dataset(rq.Dataset)
@@ -547,7 +575,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // runFlight executes one deduplicated solve and publishes its result. The
 // body enters the cache before the flight completes, so a request issued
 // after any response to this flight is a cache hit, never a second solve.
+// A panic inside the solve finishes the flight with a 500, which each
+// waiter counts in errors; nothing is cached and the process keeps serving.
 func (s *Server) runFlight(ctx context.Context, key string, f *flight, ds *Dataset, rq *Request, q1, q2 *sqlparse.Select, mattr schemamap.Matching) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.flights.finish(key, f, nil, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p), ds.current().version)
+		}
+	}()
 	// A prior flight may have finished between this request's cache miss
 	// and its flight registration; re-check before paying for a solve.
 	if body, ver, ok := s.cache.get(key); ok {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,6 +342,7 @@ func TestRequestValidation(t *testing.T) {
 		{"bad q2", func(rq *serve.Request) { rq.Q2 = "" }, http.StatusBadRequest},
 		{"bad matches", func(rq *serve.Request) { rq.Matches = "garbage" }, http.StatusBadRequest},
 		{"empty matches", func(rq *serve.Request) { rq.Matches = "" }, http.StatusBadRequest},
+		{"negative timeout", func(rq *serve.Request) { rq.TimeoutMS = -1 }, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		rq := baseRequest(pair)
@@ -398,5 +400,63 @@ func TestAuxEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodyRejected: an /explain or delta body over the size bound
+// is answered 413 and counted in errors, and the server keeps serving.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, ts, pair := newTestServer(t, serve.Options{})
+	huge := `{"dataset":"` + strings.Repeat("x", serve.MaxBodyBytes) + `"}`
+	for _, path := range []string{"/explain", "/datasets/acad/delta"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if m := s.Metrics(); m.Errors != 2 {
+		t.Fatalf("errors = %d, want 2", m.Errors)
+	}
+	rq := baseRequest(pair)
+	resp, body := post(t, ts.URL, rq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after 413: status %d: %s", resp.StatusCode, body)
+	}
+	if !bytes.Equal(body, oneShot(t, rq)) {
+		t.Fatal("request after 413: body differs from one-shot Explain")
+	}
+}
+
+// TestSolvePanicRecovered: a panic inside a solve answers 500, counts in
+// errors and caches nothing; the next identical request solves cleanly.
+func TestSolvePanicRecovered(t *testing.T) {
+	s, ts, pair := newTestServer(t, serve.Options{})
+	var panicked atomic.Bool
+	s.SolveHook = func() {
+		if panicked.CompareAndSwap(false, true) {
+			panic("injected solve failure")
+		}
+	}
+	rq := baseRequest(pair)
+	resp, body := post(t, ts.URL, rq)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking solve: status %d, want 500 (%s)", resp.StatusCode, body)
+	}
+	if m := s.Metrics(); m.Errors != 1 || m.CachedBodies != 0 {
+		t.Fatalf("after panic: errors = %d, cached bodies = %d, want 1 and 0", m.Errors, m.CachedBodies)
+	}
+	resp, body = post(t, ts.URL, rq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after panic: status %d: %s", resp.StatusCode, body)
+	}
+	if d := resp.Header.Get("X-Explaind-Cache"); d != "miss" {
+		t.Fatalf("request after panic: disposition %q, want miss (the failed flight must not be cached)", d)
+	}
+	if !bytes.Equal(body, oneShot(t, rq)) {
+		t.Fatal("request after panic: body differs from one-shot Explain")
 	}
 }

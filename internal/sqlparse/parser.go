@@ -41,7 +41,16 @@ type parser struct {
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+
+// next consumes one token; the final EOF token is never consumed, so any
+// read past the end keeps seeing EOF.
+func (p *parser) next() token {
+	t := p.toks[p.i]
+	if t.kind != tokEOF {
+		p.i++
+	}
+	return t
+}
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 func (p *parser) back()       { p.i-- }
 
@@ -185,8 +194,9 @@ func (p *parser) parseSelectItem() (*SelectItem, error) {
 				if err := p.expectSymbol(")"); err != nil {
 					return nil, err
 				}
-				item.Alias = p.parseOptionalAlias()
-				return item, nil
+				var err error
+				item.Alias, err = p.parseOptionalAlias()
+				return item, err
 			}
 			p.back()
 		}
@@ -199,21 +209,23 @@ func (p *parser) parseSelectItem() (*SelectItem, error) {
 		return nil, err
 	}
 	item := &SelectItem{Expr: e}
-	item.Alias = p.parseOptionalAlias()
-	return item, nil
+	item.Alias, err = p.parseOptionalAlias()
+	return item, err
 }
 
-func (p *parser) parseOptionalAlias() string {
-	if p.acceptKeyword("AS") {
-		t := p.next()
-		return t.text
-	}
+// parseOptionalAlias reads "AS name" or a bare name; after AS the name
+// must be a non-reserved identifier, so the alias renders back unchanged.
+func (p *parser) parseOptionalAlias() (string, error) {
+	as := p.acceptKeyword("AS")
 	t := p.peek()
 	if t.kind == tokIdent && !isReserved(t.text) {
 		p.next()
-		return t.text
+		return t.text, nil
 	}
-	return ""
+	if as {
+		return "", fmt.Errorf("sqlparse: expected alias after AS, got %s", t)
+	}
+	return "", nil
 }
 
 func (p *parser) parseFrom() ([]*TableRef, error) {
@@ -265,7 +277,9 @@ func (p *parser) parseTableRef() (*TableRef, error) {
 			return nil, err
 		}
 		ref := &TableRef{Sub: sub}
-		ref.Alias = p.parseOptionalAlias()
+		if ref.Alias, err = p.parseOptionalAlias(); err != nil {
+			return nil, err
+		}
 		if ref.Alias == "" {
 			return nil, fmt.Errorf("sqlparse: subquery in FROM requires an alias")
 		}
@@ -276,7 +290,11 @@ func (p *parser) parseTableRef() (*TableRef, error) {
 		return nil, fmt.Errorf("sqlparse: expected table name, got %s", t)
 	}
 	ref := &TableRef{Table: t.text}
-	ref.Alias = p.parseOptionalAlias()
+	alias, err := p.parseOptionalAlias()
+	if err != nil {
+		return nil, err
+	}
+	ref.Alias = alias
 	if ref.Alias == "" {
 		ref.Alias = t.text
 	}

@@ -206,14 +206,17 @@ func TestAggregateHelper(t *testing.T) {
 	}
 }
 
+// roundTripSrcs are the render/re-parse fixpoint corpus; FuzzParse seeds
+// from them too.
+var roundTripSrcs = []string{
+	"SELECT COUNT(Major) FROM Major",
+	"SELECT SUM(bach_degr) FROM School, Stats WHERE (Univ_name = 'X' AND School.ID = Stats.ID)",
+	"SELECT m.title FROM Movie m JOIN MovieInfo i ON m.m_id = i.m_id WHERE i.info = 'Comedy'",
+	"SELECT a FROM t WHERE a NOT IN (SELECT b FROM u)",
+}
+
 func TestStringRoundTrip(t *testing.T) {
-	srcs := []string{
-		"SELECT COUNT(Major) FROM Major",
-		"SELECT SUM(bach_degr) FROM School, Stats WHERE (Univ_name = 'X' AND School.ID = Stats.ID)",
-		"SELECT m.title FROM Movie m JOIN MovieInfo i ON m.m_id = i.m_id WHERE i.info = 'Comedy'",
-		"SELECT a FROM t WHERE a NOT IN (SELECT b FROM u)",
-	}
-	for _, src := range srcs {
+	for _, src := range roundTripSrcs {
 		s1, err := Parse(src)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
