@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -124,7 +125,7 @@ func measureEngine(build func() *milp.Model, opt milp.Options) (milpBenchResult,
 	for rep := 0; rep < maxReps; rep++ {
 		model := build()
 		start := time.Now()
-		sol, err := milp.Solve(model, opt)
+		sol, err := milp.SolveContext(context.Background(), model, opt)
 		if err != nil {
 			return r, err
 		}

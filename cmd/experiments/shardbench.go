@@ -106,7 +106,7 @@ func shardbench(outPath string, heapBudgetMB float64) error {
 	var baseline shardBenchPoint
 	var baselineMatches []linkage.Match
 	for _, shards := range []int{1, 2, 4, 8} {
-		opt := linkage.PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 2, Shards: shards}
+		opt := linkage.PairOptions{MinSim: 0.05, MinSharedTokens: 2, Shards: shards}
 		if shards == 1 {
 			opt.Workers = 1 // the sequential unsharded baseline
 		} else {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -151,8 +152,10 @@ func Greedy(inst *Instance, p Params) *Explanations {
 // an initial match with. The integer program maximizes the number of
 // selected sets plus covered elements, with each element covered at most
 // once. Impacts and match probabilities are ignored, as in the paper's
-// adaptation.
-func ExactCover(inst *Instance, p Params) (*Explanations, error) {
+// adaptation. The solve is bounded by ctx and by p.SolverTimeLimit; a
+// budget that expires before any feasible cover is found falls back to
+// deleting everything, like an expired Stage-2 sub-problem.
+func ExactCover(ctx context.Context, inst *Instance, p Params) (*Explanations, error) {
 	m := milp.NewModel("exactcover", milp.Maximize)
 	setVar := make([]milp.Var, inst.T2.Len())
 	for j := range setVar {
@@ -184,10 +187,17 @@ func ExactCover(inst *Instance, p Params) (*Explanations, error) {
 			m.AddConstr([]milp.Term{{Var: elemVar[i], Coef: 1}}, milp.LE, 0, "uncoverable")
 		}
 	}
-	opt := milp.Options{TimeLimit: p.SolverTimeLimit}
-	sol, err := milp.Solve(m, opt)
+	if p.SolverTimeLimit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.SolverTimeLimit)
+		defer cancel()
+	}
+	sol, err := milp.SolveContext(ctx, m, milp.Options{})
 	if err != nil {
 		return nil, err
+	}
+	if sol.Status == milp.StatusNoSolution {
+		return ExplanationsFromEvidence(inst, nil), nil
 	}
 	// Evidence: for each covered element pick its single selected set.
 	var ev []Evidence

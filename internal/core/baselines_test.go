@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"explain3d/internal/linkage"
 )
@@ -83,7 +84,7 @@ func TestGreedyRespectsCardinality(t *testing.T) {
 
 func TestExactCoverBaseline(t *testing.T) {
 	inst := smallInstance()
-	e, err := ExactCover(inst, DefaultParams())
+	e, err := ExactCover(context.Background(), inst, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +101,22 @@ func TestExactCoverBaseline(t *testing.T) {
 			t.Fatalf("element %d covered twice", ev.L)
 		}
 		covered[ev.L] = true
+	}
+}
+
+// TestExactCoverBudgetExpiredFallsBack pins the no-incumbent path: a
+// budget that runs out before the solver finds any cover must yield the
+// delete-everything explanation, not read the empty solution vector.
+func TestExactCoverBudgetExpiredFallsBack(t *testing.T) {
+	inst := smallInstance()
+	p := DefaultParams()
+	p.SolverTimeLimit = time.Nanosecond
+	e, err := ExactCover(context.Background(), inst, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Evidence) != 0 || len(e.Val) != 0 || len(e.Prov) != inst.T1.Len()+inst.T2.Len() {
+		t.Fatalf("e = %+v, want every tuple deleted", e)
 	}
 }
 

@@ -121,13 +121,7 @@ func solveInstance(ctx context.Context, inst *Instance, p Params, cache *SolveCa
 			fail(fmt.Errorf("core: solving sub-problem: %w", err))
 			return
 		}
-		st.Nodes = sol.Nodes
-		st.Iters = sol.Iters
-		st.Refactors = sol.Refactors
-		st.LUFill = sol.LUFill
-		st.CertInfeas = sol.CertInfeas
-		st.SparseBlocks = sol.SparseBlocks
-		st.DenseBlocks = sol.DenseBlocks
+		st.Counters = sol.Counters
 		switch sol.Status {
 		case milp.StatusOptimal:
 		case milp.StatusLimit:
@@ -205,13 +199,7 @@ func solveInstance(ctx context.Context, inst *Instance, p Params, cache *SolveCa
 		result.Evidence = append(result.Evidence, frag.Evidence...)
 		stats.MILPVars += subStats[si].MILPVars
 		stats.MILPRows += subStats[si].MILPRows
-		stats.Nodes += subStats[si].Nodes
-		stats.Iters += subStats[si].Iters
-		stats.Refactors += subStats[si].Refactors
-		stats.LUFill += subStats[si].LUFill
-		stats.CertInfeas += subStats[si].CertInfeas
-		stats.SparseBlocks += subStats[si].SparseBlocks
-		stats.DenseBlocks += subStats[si].DenseBlocks
+		stats.Add(subStats[si].Counters)
 		stats.SolveCacheHits += subStats[si].SolveCacheHits
 		stats.SolveCacheMisses += subStats[si].SolveCacheMisses
 		if subStats[si].TimedOut {

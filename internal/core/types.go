@@ -15,6 +15,7 @@ import (
 
 	"explain3d/internal/graph"
 	"explain3d/internal/linkage"
+	"explain3d/internal/milp"
 	"explain3d/internal/schemamap"
 )
 
@@ -206,24 +207,12 @@ type Stats struct {
 	Partitions int
 	// MILPVars and MILPRows total over all sub-problems.
 	MILPVars, MILPRows int
-	// Nodes totals branch-and-bound nodes.
-	Nodes int
-	// Iters totals simplex iterations across all branch-and-bound nodes;
-	// Iters/Nodes is the per-node solver effort the warm-started dual
-	// simplex drives down.
-	Iters int
-	// Refactors totals basis LU factorizations performed by the sparse
-	// revised simplex across all sub-problems.
-	Refactors int
-	// LUFill totals the L+U nonzeros those factorizations produced — the
-	// solver's fill-in metric.
-	LUFill int
-	// CertInfeas totals dual-infeasible nodes accepted via a Farkas
-	// certificate check instead of a cold phase-1 re-proof.
-	CertInfeas int
-	// SparseBlocks/DenseBlocks total the per-block LP engine choices the
-	// solver's adaptive heuristic made across all sub-problems.
-	SparseBlocks, DenseBlocks int
+	// Counters totals the solver effort over all sub-problems: nodes,
+	// simplex iterations (Iters/Nodes is the per-node effort the
+	// warm-started dual simplex drives down), LU factorizations and
+	// fill-in, Farkas-certified infeasible nodes, and the per-block LP
+	// engine choices.
+	milp.Counters
 	// SolveCacheHits/SolveCacheMisses count sub-problems served from (or
 	// missed in) the solution cache an ExplainPrefixContext call consulted;
 	// both stay zero without a cache. Misses on an incrementally advanced

@@ -119,7 +119,8 @@ func SummarizeSide(res *core.Result, expl *core.Explanations, side core.Side) []
 }
 
 // displayRelation strips the impact and hidden entity-id columns so
-// summaries only mention real attributes.
+// summaries only mention real attributes. It is a zero-copy projection:
+// the result shares the provenance relation's column storage.
 func displayRelation(p *query.Provenance) *relation.Relation {
 	var keep []int
 	var names []string
@@ -130,17 +131,7 @@ func displayRelation(p *query.Provenance) *relation.Relation {
 		keep = append(keep, i)
 		names = append(names, col.QualifiedName())
 	}
-	out := relation.NewWithDict(p.Rel.Dict(), "", names...)
-	var row relation.Tuple
-	rec := make(relation.Tuple, len(keep))
-	for r := 0; r < p.Rel.Len(); r++ {
-		row = p.Rel.RowInto(row, r)
-		for k, i := range keep {
-			rec[k] = row[i]
-		}
-		out.AppendRow(rec)
-	}
-	return out
+	return p.Rel.ProjectColumns("", relation.NewSchema(names...), keep)
 }
 
 // WriteStats renders a Figure 4 row.

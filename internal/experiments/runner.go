@@ -107,7 +107,7 @@ func (pc *PreparedCase) RunMethod(method string, params core.Params, batchSize i
 	case MethodRSwoosh:
 		expl, err = pc.runRSwoosh()
 	case MethodExact:
-		expl, err = core.ExactCover(pc.Inst, params)
+		expl, err = core.ExactCover(context.Background(), pc.Inst, params)
 	case MethodFormal:
 		expl = core.FormalExp(pc.Inst, 15)
 	default:

@@ -154,9 +154,6 @@ func (ix *Index) ApplyDelta(newRight *relation.Relation, rd RowDelta) (*Index, I
 		out.rTok[k] = rows
 	}
 	out.rCols = matchColumns(newRight, ix.rightIdx)
-	if !ix.opt.Block {
-		return out, st, nil
-	}
 
 	// Blocking unions: remap survivors, union only dirty rows.
 	out.rBlock = make([][]uint32, rd.NewRows)

@@ -32,11 +32,9 @@ func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 		// MinSharedTokens up to 4 exercises the skipped-posting-list paths
 		// (global stop-word pruning, per-row prefix filtering with skip
 		// budgets up to 3, and exact candidate verification).
-		opt := linkage.PairOptions{
-			MinSim:          []float64{0, 0.05, 0.3}[rng.Intn(3)],
-			Block:           rng.Intn(4) != 0,
-			MinSharedTokens: 1 + rng.Intn(4),
-		}
+		minSim := []float64{0, 0.05, 0.3}[rng.Intn(3)]
+		rng.Intn(4) // a retired draw, kept so every later trial's inputs stay the same
+		opt := linkage.PairOptions{MinSim: minSim, MinSharedTokens: 1 + rng.Intn(4)}
 		want, err := linkagetest.SimilaritiesPairwise(left, right, idx, idx, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +45,7 @@ func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			linkage.MatchesEqual(t, fmt.Sprintf("trial %d workers %d (block=%v shared=%v)", trial, workers, opt.Block, d != nil), got, want)
+			linkage.MatchesEqual(t, fmt.Sprintf("trial %d workers %d (shared=%v)", trial, workers, d != nil), got, want)
 		}
 	}
 }
@@ -73,7 +71,7 @@ func TestSimilaritiesStopWordPruning(t *testing.T) {
 	}
 	left, right := build("L", 40), build("R", 40)
 	for _, minShared := range []int{2, 3} {
-		opt := linkage.PairOptions{MinSim: 0, Block: true, MinSharedTokens: minShared}
+		opt := linkage.PairOptions{MinSim: 0, MinSharedTokens: minShared}
 		want, err := linkagetest.SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +121,7 @@ func TestSimilaritiesPerRowPrefixFilter(t *testing.T) {
 	}
 	left, right := build("L", 60), build("R", 60)
 	for _, minShared := range []int{2, 3, 4} {
-		opt := linkage.PairOptions{MinSim: 0, Block: true, MinSharedTokens: minShared}
+		opt := linkage.PairOptions{MinSim: 0, MinSharedTokens: minShared}
 		want, err := linkagetest.SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +152,7 @@ func TestSimilaritiesPerRowPrefixFilter(t *testing.T) {
 func TestSimilaritiesNumericOnlyColumns(t *testing.T) {
 	left := relation.New("L", "a").Append(int64(1)).Append(2.5).Append(nil)
 	right := relation.New("R", "a").Append(int64(1)).Append(2.0)
-	opt := linkage.PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1}
+	opt := linkage.PairOptions{MinSim: 0.05, MinSharedTokens: 1}
 	want, err := linkagetest.SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +192,7 @@ func TestMixedColumnSniffsWholeColumn(t *testing.T) {
 	// End to end: blocking stays on and the string rows still pair up
 	// through their shared token.
 	ms, err := linkage.IndexSimilarities(left, right, []int{0}, []int{0},
-		linkage.PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1})
+		linkage.PairOptions{MinSim: 0.05, MinSharedTokens: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,9 @@ const maxShards = 256
 const skipFloor = 4
 
 // BuildIndex indexes the right side of a linkage run: per-row token lists
-// for the matched columns rightIdx, typed match-column views, and — when
-// blocking is enabled — the inverted posting lists with up to
-// MinSharedTokens-1 stop-word lists pruned.
+// for the matched columns rightIdx, typed match-column views, and the
+// inverted posting lists with up to MinSharedTokens-1 stop-word lists
+// pruned.
 func BuildIndex(right *relation.Relation, rightIdx []int, opt PairOptions) (*Index, error) {
 	if len(rightIdx) == 0 {
 		return nil, fmt.Errorf("linkage: BuildIndex needs a non-empty attribute index list")
@@ -76,9 +76,6 @@ func BuildIndex(right *relation.Relation, rightIdx []int, opt PairOptions) (*Ind
 // prune. It runs once the right side has interned its tokens, so every
 // right-side token has a posting slot.
 func (ix *Index) finalize() {
-	if !ix.opt.Block {
-		return
-	}
 	ix.rBlock = unionRows(ix.rTok, ix.nRight)
 	ix.post = make([][]int32, ix.ts.size())
 	if s := ix.opt.Shards; s > 1 {
@@ -240,9 +237,6 @@ func (ix *Index) scorer(lv *leftView) func(i, j int, out []Match) []Match {
 // some matched column has token lists on either side — the same
 // whole-column sniff tokenColumns performed.
 func (ix *Index) blockedScan(lv *leftView) bool {
-	if !ix.opt.Block {
-		return false
-	}
 	for k := range lv.tok {
 		if lv.tok[k] != nil || ix.rTok[k] != nil {
 			return true

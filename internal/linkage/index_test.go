@@ -70,12 +70,13 @@ func TestIndexMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestIndexNoBlocking covers the unblocked cross-product path.
+// TestIndexNoBlocking covers the unblocked cross-product path: with only
+// numeric match columns there are no tokens to block on, so every pair is
+// scored.
 func TestIndexNoBlocking(t *testing.T) {
 	left, right := indexTestRelations(7, 40, 30)
-	idx := []int{0, 1}
+	idx := []int{1}
 	opt := linkage.DefaultPairOptions()
-	opt.Block = false
 	want, err := linkagetest.SimilaritiesPairwise(left, right, idx, idx, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +90,9 @@ func TestIndexNoBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	linkage.MatchesEqual(t, "no blocking", got, want)
+	if len(got) == 0 {
+		t.Fatal("no matches: the all-pairs path went unexercised")
+	}
 }
 
 // TestIndexConcurrentReuse fires many concurrent scans — different left

@@ -111,23 +111,6 @@ func TestSimilaritiesBlocked(t *testing.T) {
 	}
 }
 
-func TestSimilaritiesUnblockedEqualsBlockedOnStrings(t *testing.T) {
-	l, r := twoRelations()
-	blocked, err := similarities(l, r, []int{0}, []int{0}, PairOptions{MinSim: 0.05, Block: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := similarities(l, r, []int{0}, []int{0}, PairOptions{MinSim: 0.05, Block: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Blocking only skips zero-overlap pairs, which score 0 on Jaccard and
-	// fall below MinSim anyway.
-	if len(blocked) != len(full) {
-		t.Fatalf("blocked %d vs full %d", len(blocked), len(full))
-	}
-}
-
 func TestSimilaritiesNumericFallback(t *testing.T) {
 	l := relation.New("L", "v")
 	l.Append(int64(10))
@@ -281,7 +264,7 @@ func TestMixedColumnKeepsNumericPairsUnderBlocking(t *testing.T) {
 		Append(int64(123)).
 		Append("acme inc")
 	ms, err := similarities(left, right, []int{0}, []int{0},
-		PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1})
+		PairOptions{MinSim: 0.05, MinSharedTokens: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,12 +45,10 @@ func SimilaritiesPairwise(left, right *relation.Relation, leftIdx, rightIdx []in
 		return out
 	}
 	blocked := false
-	if opt.Block {
-		for k := range lTok {
-			if lTok[k] != nil || rTok[k] != nil {
-				blocked = true
-				break
-			}
+	for k := range lTok {
+		if lTok[k] != nil || rTok[k] != nil {
+			blocked = true
+			break
 		}
 	}
 	var index map[string][]int

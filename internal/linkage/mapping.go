@@ -20,11 +20,10 @@ type PairOptions struct {
 	// MinSim drops candidate pairs below this combined similarity
 	// (default 0.05 — pairs with essentially no evidence).
 	MinSim float64
-	// Block enables token blocking: only pairs sharing at least
-	// MinSharedTokens tokens on the matched string attributes are scored.
-	// Without blocking every pair is scored (quadratic).
-	Block bool
-	// MinSharedTokens is the blocking threshold (default 1). Raising it to
+	// MinSharedTokens is the token-blocking threshold (default 1): when a
+	// matched attribute is tokenized, only pairs sharing at least this many
+	// tokens are scored; with no tokenized attribute every pair is scored.
+	// Raising it to
 	// 2 prunes pairs that only share a frequent token (articles, common
 	// vocabulary words) and keeps large workloads tractable.
 	MinSharedTokens int
@@ -47,9 +46,10 @@ type PairOptions struct {
 	noRowPrefixFilter bool
 }
 
-// DefaultPairOptions enables blocking with the default similarity floor.
+// DefaultPairOptions returns the default similarity floor and blocking
+// threshold.
 func DefaultPairOptions() PairOptions {
-	return PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1}
+	return PairOptions{MinSim: 0.05, MinSharedTokens: 1}
 }
 
 // matchCol is one matched column's typed row view for the scoring loop:

@@ -29,7 +29,6 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		}
 		opt := PairOptions{
 			MinSim:          []float64{0, 0.05, 0.3}[rng.Intn(3)],
-			Block:           true,
 			MinSharedTokens: 1 + rng.Intn(4),
 		}
 		want, err := similarities(left, right, idx, idx, opt)
@@ -71,7 +70,7 @@ func TestShardedStopWordPruning(t *testing.T) {
 	}
 	left, right := build("L", 40), build("R", 40)
 	for _, minShared := range []int{2, 3} {
-		opt := PairOptions{MinSim: 0, Block: true, MinSharedTokens: minShared}
+		opt := PairOptions{MinSim: 0, MinSharedTokens: minShared}
 		want, err := similarities(left, right, []int{0}, []int{0}, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -102,11 +101,11 @@ func TestShardedPrebuiltIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	right := randomRelation(rng, "R", 50, 2, nil)
 	idx := []int{0, 1}
-	plain, err := BuildIndex(right, idx, PairOptions{MinSim: 0, Block: true, MinSharedTokens: 2})
+	plain, err := BuildIndex(right, idx, PairOptions{MinSim: 0, MinSharedTokens: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := BuildIndex(right, idx, PairOptions{MinSim: 0, Block: true, MinSharedTokens: 2, Shards: 8})
+	sharded, err := BuildIndex(right, idx, PairOptions{MinSim: 0, MinSharedTokens: 2, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

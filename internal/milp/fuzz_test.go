@@ -63,7 +63,7 @@ func FuzzSolveBinary(f *testing.F) {
 		m, n := decodeBinaryModel(data)
 		want := bruteForceBinary(m, n)
 		for _, c := range configs {
-			sol, err := Solve(m, c.opt)
+			sol, err := solve(m, c.opt)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ func TestLPBasic(t *testing.T) {
 	m.SetObjCoef(y, 2)
 	m.AddConstr([]Term{{x, 1}, {y, 1}}, LE, 4, "cap")
 	m.AddConstr([]Term{{x, 1}}, LE, 2, "xcap")
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestLPEquality(t *testing.T) {
 	m.SetObjCoef(y, 1)
 	m.AddConstr([]Term{{x, 1}, {y, 2}}, EQ, 6, "c1")
 	m.AddConstr([]Term{{x, 1}, {y, -1}}, EQ, 0, "c2")
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestLPInfeasible(t *testing.T) {
 	m := NewModel("inf", Maximize)
 	x := m.AddVar(0, 1, Continuous, "x")
 	m.AddConstr([]Term{{x, 1}}, GE, 2, "impossible")
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestLPUnbounded(t *testing.T) {
 	x := m.AddVar(0, Inf, Continuous, "x")
 	m.SetObjCoef(x, 1)
 	m.AddConstr([]Term{{x, -1}}, LE, 0, "x>=0 again")
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestLPNegativeBounds(t *testing.T) {
 	x := m.AddVar(-5, 5, Continuous, "x")
 	m.SetObjCoef(x, 1)
 	m.AddConstr([]Term{{x, 1}}, GE, -3, "floor")
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestKnapsackILP(t *testing.T) {
 	m.SetObjCoef(b, 13)
 	m.SetObjCoef(c, 7)
 	m.AddConstr([]Term{{a, 3}, {b, 4}, {c, 2}}, LE, 6, "w")
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestIntegerVariable(t *testing.T) {
 	x := m.AddVar(0, 100, Integer, "x")
 	m.SetObjCoef(x, 1)
 	m.AddConstr([]Term{{x, 2}}, LE, 7, "c")
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestBlockDecomposition(t *testing.T) {
 	m.SetObjCoef(d, 2)
 	m.AddConstr([]Term{{a, 1}, {b, 1}}, LE, 1, "k1")
 	m.AddConstr([]Term{{c, 1}, {d, 1}}, LE, 1, "k2")
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestBlockDecomposition(t *testing.T) {
 		t.Fatalf("obj = %v, want 8", sol.Objective)
 	}
 	// Disabling blocks must give the same answer.
-	sol2, err := Solve(m, Options{disableBlocks: true})
+	sol2, err := solve(m, Options{disableBlocks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestIsolatedVariableGetsBestBound(t *testing.T) {
 	y := m.AddVar(0, 1, Binary, "y")
 	m.SetObjCoef(x, 2)
 	m.SetObjCoef(y, -1)
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestObjectiveConstant(t *testing.T) {
 	x := m.AddVar(0, 1, Binary, "x")
 	m.SetObjCoef(x, 1)
 	m.AddObjConst(41)
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestProductBinaryExact(t *testing.T) {
 			m.AddConstr([]Term{{x, 1}}, EQ, xv, "pinx")
 			m.AddConstr([]Term{{y, 1}}, EQ, yv, "piny")
 			m.SetObjCoef(w, 1)
-			sol, err := Solve(m, Options{})
+			sol, err := solve(m, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +226,7 @@ func TestProductBinaryContExact(t *testing.T) {
 			m.AddConstr([]Term{{z, 1}}, EQ, zv, "pinz")
 			m.AddConstr([]Term{{v, 1}}, EQ, vv, "pinv")
 			m.SetObjCoef(p, 1)
-			solMax, err := Solve(m, Options{})
+			solMax, err := solve(m, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +246,7 @@ func TestIndicatorEq(t *testing.T) {
 		m.IndicatorEq(y, v, 5, 0, 10, "ind")
 		m.AddConstr([]Term{{y, 1}}, EQ, yv, "piny")
 		m.SetObjCoef(v, 1)
-		sol, err := Solve(m, Options{})
+		sol, err := solve(m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func TestWarmStartAccepted(t *testing.T) {
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
 	m.AddConstr([]Term{{x, 1}, {y, 1}}, LE, 1, "pick1")
-	sol, err := Solve(m, Options{WarmStart: []float64{1, 0}})
+	sol, err := solve(m, Options{WarmStart: []float64{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,9 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	}
 	m.AddConstr(terms, LE, 11, "w")
 	warm := make([]float64, 14)
-	sol, err := Solve(m, Options{TimeLimit: time.Nanosecond, WarmStart: warm})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	sol, err := SolveContext(ctx, m, Options{WarmStart: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,17 +304,17 @@ func TestValidateErrors(t *testing.T) {
 	m := NewModel("bad", Maximize)
 	x := m.AddVar(0, 1, Binary, "x")
 	m.AddConstr([]Term{{x, math.NaN()}}, LE, 1, "nan")
-	if _, err := Solve(m, Options{}); err == nil {
+	if _, err := solve(m, Options{}); err == nil {
 		t.Fatal("NaN coefficient should be rejected")
 	}
 	m2 := NewModel("bad2", Maximize)
 	m2.AddVar(3, 1, Continuous, "empty")
-	if _, err := Solve(m2, Options{}); err == nil {
+	if _, err := solve(m2, Options{}); err == nil {
 		t.Fatal("empty domain should be rejected")
 	}
 	m3 := NewModel("bad3", Minimize)
 	m3.AddVar(math.Inf(-1), 1, Continuous, "freelb")
-	if _, err := Solve(m3, Options{}); err == nil {
+	if _, err := solve(m3, Options{}); err == nil {
 		t.Fatal("infinite lower bound should be rejected")
 	}
 }
@@ -369,7 +372,7 @@ func TestRandomBinaryProgramsMatchBruteForce(t *testing.T) {
 			m.AddConstr(terms, sense, rhs, "r")
 		}
 		want := bruteForceBinary(m, n)
-		sol, err := Solve(m, Options{})
+		sol, err := solve(m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,11 +413,11 @@ func TestLPBoundDominatesMILP(t *testing.T) {
 		rhs := float64(2 + rng.Intn(6))
 		mMILP.AddConstr(terms, LE, rhs, "w")
 		mLP.AddConstr(terms, LE, rhs, "w")
-		sMILP, err := Solve(mMILP, Options{})
+		sMILP, err := solve(mMILP, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sLP, err := Solve(mLP, Options{})
+		sLP, err := solve(mLP, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +436,7 @@ func TestMergeTerms(t *testing.T) {
 	m.SetObjCoef(x, 1)
 	// x + x <= 10  =>  x <= 5
 	m.AddConstr([]Term{{x, 1}, {x, 1}}, LE, 10, "dup")
-	sol, err := Solve(m, Options{})
+	sol, err := solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ package milp
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Sense is the optimization direction.
@@ -217,12 +216,9 @@ const (
 	EngineDense
 )
 
-// Options tunes the solver.
+// Options tunes the solver. The solve's budget is the context passed to
+// SolveContext.
 type Options struct {
-	// TimeLimit bounds wall-clock time (0 = unlimited). SolveContext
-	// callers may instead (or additionally) put a deadline on the context;
-	// the earlier bound wins.
-	TimeLimit time.Duration
 	// WarmStart optionally provides a feasible assignment used as the
 	// initial incumbent (length must equal NumVars).
 	WarmStart []float64
@@ -256,13 +252,11 @@ const (
 	intTol = 1e-6
 )
 
-// Solution is the result of Solve.
-type Solution struct {
-	Status    Status
-	Objective float64
-	X         []float64
-	Nodes     int
-	Blocks    int
+// Counters records solver effort. A Solution carries one for its solve;
+// callers that solve many models total them with Add.
+type Counters struct {
+	// Nodes counts branch-and-bound nodes.
+	Nodes int
 	// Iters is the total number of simplex iterations (primal pivots,
 	// bound flips, and dual pivots) across all branch-and-bound nodes —
 	// the per-node effort metric the warm-started solver drives down.
@@ -280,8 +274,27 @@ type Solution struct {
 	// SparseBlocks/DenseBlocks count the blocks solved by each LP engine —
 	// under EngineAdaptive they record the per-block choices the shape
 	// heuristic made.
-	SparseBlocks int
-	DenseBlocks  int
+	SparseBlocks, DenseBlocks int
+}
+
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
+	c.Nodes += o.Nodes
+	c.Iters += o.Iters
+	c.Refactors += o.Refactors
+	c.LUFill += o.LUFill
+	c.CertInfeas += o.CertInfeas
+	c.SparseBlocks += o.SparseBlocks
+	c.DenseBlocks += o.DenseBlocks
+}
+
+// Solution is the result of SolveContext.
+type Solution struct {
+	Status    Status
+	Objective float64
+	X         []float64
+	Blocks    int
+	Counters
 }
 
 // Value returns the solved value of v.

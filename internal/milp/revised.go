@@ -3,7 +3,6 @@ package milp
 import (
 	"context"
 	"math"
-	"time"
 )
 
 // This file implements the sparse revised simplex that branch-and-bound
@@ -67,14 +66,14 @@ type sparseLP struct {
 	refactors int // basis LU (re)factorizations
 	luFill    int // total L+U nonzeros across factorizations
 	certified int // dual-infeasible verdicts accepted via Farkas certificate
-	deadline  time.Time
 	ctx       context.Context
 }
 
 // newSparseLP builds the block's working problem from a minimization cost
 // vector over nv structural variables and its rows. Bounds are installed
 // per node by solveCold/applyBound. devexOff selects full Dantzig pricing.
-func newSparseLP(c []float64, rows []rowData, devexOff bool) *sparseLP {
+// Solves stop once ctx is canceled or its deadline passes.
+func newSparseLP(ctx context.Context, c []float64, rows []rowData, devexOff bool) *sparseLP {
 	a := newSparseMatrix(len(c), rows)
 	s := &sparseLP{
 		a: a, m: a.m, n: a.n, nv: a.nv,
@@ -97,18 +96,11 @@ func newSparseLP(c []float64, rows []rowData, devexOff bool) *sparseLP {
 		devexW:   make([]float64, a.n),
 		maxIter:  20000 + 200*(a.m+a.nv),
 		devexOff: devexOff,
+		ctx:      ctx,
 	}
 	copy(s.realCost, c)
 	s.devexReset()
 	return s
-}
-
-// expired reports whether the deadline passed or the context was canceled.
-func (s *sparseLP) expired() bool {
-	if s.ctx != nil && s.ctx.Err() != nil {
-		return true
-	}
-	return !s.deadline.IsZero() && time.Now().After(s.deadline)
 }
 
 // maxEtasLen is the eta-file length that triggers a refactorization — the
@@ -376,7 +368,7 @@ func (s *sparseLP) primalIterate(phase1 bool) lpStatus {
 	s.devexReset() // new phase, new objective: a fresh reference framework
 	sinceFull := 0
 	for iter := 0; iter < s.maxIter; iter++ {
-		if iter&63 == 63 && s.expired() {
+		if iter&63 == 63 && s.ctx.Err() != nil {
 			return lpIterLimit
 		}
 		if len(s.etas) >= s.maxEtasLen() {
@@ -746,7 +738,7 @@ func (s *sparseLP) pivot(r, enter int, dir, t float64, leaveAt varStatus) {
 
 // dualIterate runs dual simplex pivots until every basic value is back
 // within its bounds (lpOptimal), a Farkas certificate proves the node
-// infeasible (lpInfeasible), the deadline/context expires or the pivot cap
+// infeasible (lpInfeasible), the context expires or the pivot cap
 // is hit (lpIterLimit), or numerical trouble demands a cold rebuild
 // (lpNumeric). The dual pivot row ρᵀA is recomputed from the sparse matrix
 // every iteration, never maintained incrementally.
@@ -755,7 +747,7 @@ func (s *sparseLP) pivot(r, enter int, dir, t float64, leaveAt varStatus) {
 func (s *sparseLP) dualIterate(maxPiv int) lpStatus {
 	a := s.a
 	for iter := 0; iter < maxPiv; iter++ {
-		if iter&63 == 63 && s.expired() {
+		if iter&63 == 63 && s.ctx.Err() != nil {
 			return lpIterLimit
 		}
 		if len(s.etas) >= s.maxEtasLen() {

@@ -14,11 +14,11 @@ import (
 // in adaptive_test.go.
 func solveBoth(t *testing.T, name string, m *Model) (*Solution, *Solution) {
 	t.Helper()
-	sparse, err := Solve(m, Options{Engine: EngineSparse})
+	sparse, err := solve(m, Options{Engine: EngineSparse})
 	if err != nil {
 		t.Fatalf("%s: sparse solve: %v", name, err)
 	}
-	dense, err := Solve(m, Options{Engine: EngineDense})
+	dense, err := solve(m, Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatalf("%s: dense solve: %v", name, err)
 	}
@@ -102,11 +102,11 @@ func TestSparseDenseRandomMixed(t *testing.T) {
 			m.AddConstr(terms, sense, float64(rng.Intn(11)-5), "r")
 		}
 		sparse, _ := solveBoth(t, "random-mixed", m)
-		coldSparse, err := Solve(m, Options{coldLP: true, Engine: EngineSparse})
+		coldSparse, err := solve(m, Options{coldLP: true, Engine: EngineSparse})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldDense, err := Solve(m, Options{coldLP: true, Engine: EngineDense})
+		coldDense, err := solve(m, Options{coldLP: true, Engine: EngineDense})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestFarkasCertificateOnInfeasibilityHeavyTree(t *testing.T) {
 	}
 	// The certificate replaces cold re-proofs, so the warm sparse solver
 	// must spend fewer iterations than its own cold mode on this tree.
-	cold, err := Solve(m, Options{coldLP: true, Engine: EngineSparse})
+	cold, err := solve(m, Options{coldLP: true, Engine: EngineSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +239,14 @@ func TestLargeBlockBeyondDenseCap(t *testing.T) {
 	opt := Options{disableBlocks: true, Engine: EngineSparse} // padding must not split into its own blocks
 	dense := opt
 	dense.Engine = EngineDense
-	dsol, err := Solve(m, dense)
+	dsol, err := solve(m, dense)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dsol.Status != StatusNoSolution {
 		t.Fatalf("dense engine on an over-cap block: status %v, want no-solution (refused for size)", dsol.Status)
 	}
-	sparse, err := Solve(m, opt)
+	sparse, err := solve(m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package milp
 import (
 	"context"
 	"math"
-	"time"
 )
 
 // lpStatus is the outcome of a linear-relaxation solve.
@@ -48,9 +47,8 @@ type simplex struct {
 	xB       []float64
 	d        []float64 // reduced costs, maintained incrementally
 	maxIter  int
-	pivots   int             // lifetime simplex iterations (pivots + bound flips)
-	deadline time.Time       // zero = no limit
-	ctx      context.Context // nil = never canceled
+	pivots   int // lifetime simplex iterations (pivots + bound flips)
+	ctx      context.Context
 }
 
 // newSimplex builds the working problem from a (minimization) model slice:
@@ -277,7 +275,7 @@ func (s *simplex) iterate(phase1 bool) lpStatus {
 		if iter%512 == 511 {
 			s.computeReducedCosts() // contain incremental drift
 		}
-		if iter%64 == 63 && s.expired() {
+		if iter%64 == 63 && s.ctx.Err() != nil {
 			return lpIterLimit
 		}
 		d := s.d
@@ -460,27 +458,12 @@ func (s *simplex) pivot(r, enter int, dir, t float64, leaveAt varStatus) {
 // limit. Partitioned workloads never approach this.
 const maxTableauCells = 40 << 20
 
-// expired reports whether the deadline passed or the context was canceled.
-func (s *simplex) expired() bool {
-	if s.ctx != nil && s.ctx.Err() != nil {
-		return true
-	}
-	return !s.deadline.IsZero() && time.Now().After(s.deadline)
-}
-
-// solveLP solves min c·x subject to rows and bounds; it returns the status,
-// objective, and structural solution. A zero deadline means no limit;
-// cancellation of ctx is reported as an iteration limit.
-func solveLP(ctx context.Context, c, lb, ub []float64, rows []rowData, deadline time.Time) (lpStatus, float64, []float64) {
-	st, obj, x, _ := solveLPKeep(ctx, c, lb, ub, rows, deadline)
-	return st, obj, x
-}
-
-// solveLPKeep is solveLP returning the solver instance as well, so
+// solveLPKeep solves min c·x subject to rows and bounds; it returns the
+// status, objective, and structural solution, plus the solver instance so
 // branch-and-bound can snapshot its optimal basis and warm-start child
 // nodes from it. The instance is nil when the relaxation was refused for
-// size.
-func solveLPKeep(ctx context.Context, c, lb, ub []float64, rows []rowData, deadline time.Time) (lpStatus, float64, []float64, *simplex) {
+// size. Cancellation of ctx is reported as an iteration limit.
+func solveLPKeep(ctx context.Context, c, lb, ub []float64, rows []rowData) (lpStatus, float64, []float64, *simplex) {
 	m := len(rows)
 	nSlack := 0
 	for _, r := range rows {
@@ -492,7 +475,6 @@ func solveLPKeep(ctx context.Context, c, lb, ub []float64, rows []rowData, deadl
 		return lpIterLimit, 0, nil, nil
 	}
 	s := newSimplex(c, lb, ub, rows)
-	s.deadline = deadline
 	s.ctx = ctx
 	st := s.solve()
 	if st != lpOptimal {

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -228,7 +229,7 @@ type solveSignature struct {
 }
 
 func coldSignature(c, lb, ub []float64, rows []rowData) solveSignature {
-	s := newSparseLP(c, rows, false)
+	s := newSparseLP(context.Background(), c, rows, false)
 	st := s.solveCold(lb, ub)
 	sig := solveSignature{st: st, pivots: s.pivots, refactors: s.refactors, etas: len(s.etas)}
 	if st == lpOptimal {
@@ -326,7 +327,7 @@ func TestSnapshotSharedEtaFile(t *testing.T) {
 			sense := []ConstrSense{LE, GE}[rng.Intn(2)]
 			rows = append(rows, rowData{terms: terms, sense: sense, rhs: float64(rng.Intn(9) - 2)})
 		}
-		parent := newSparseLP(c, rows, false)
+		parent := newSparseLP(context.Background(), c, rows, false)
 		if parent.solveCold(lb, ub) != lpOptimal {
 			continue
 		}
@@ -345,7 +346,7 @@ func TestSnapshotSharedEtaFile(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				child := newSparseLP(c, rows, false)
+				child := newSparseLP(context.Background(), c, rows, false)
 				child.restore(snaps[w])
 				j, lo, hi := int(deltas[w][0]), deltas[w][1], deltas[w][2]
 				if !child.applyBound(j, lo, hi) {
@@ -365,7 +366,7 @@ func TestSnapshotSharedEtaFile(t *testing.T) {
 			lb2 := append([]float64(nil), lb...)
 			ub2 := append([]float64(nil), ub...)
 			lb2[j], ub2[j] = lo, hi
-			cold := newSparseLP(c, rows, false)
+			cold := newSparseLP(context.Background(), c, rows, false)
 			cst := cold.solveCold(lb2, ub2)
 			switch warm[w].st {
 			case lpOptimal:

@@ -139,6 +139,12 @@ func TestCompiledEngineMatchesReferenceCorpus(t *testing.T) {
 		"SELECT name FROM T WHERE name IN ('alpha', 'gamma', 'nope')",
 		"SELECT COUNT(name) FROM T WHERE NOT score = 1",
 		"SELECT COUNT(name) FROM T WHERE score >= 1 AND score <= 3",
+		// Scalar aggregates: the single-group case over an empty selection,
+		// the generic (compiled scalar) mode, and the typed count of a
+		// string column.
+		"SELECT MIN(Num_bach), MAX(Num_bach), AVG(Num_bach), COUNT(*) FROM D3 WHERE College = 'Z'",
+		"SELECT SUM(Num_bach + 1) FROM D3",
+		"SELECT COUNT(Program) FROM D1 WHERE Degree = 'B.S.'",
 		// Error corpus: both engines must reject these.
 		"SELECT SUM(Program) FROM D1",
 		"SELECT SUM(name) FROM T",
@@ -224,26 +230,7 @@ func randomDB(rng *rand.Rand) *relation.Database {
 // relations and provenance under both engines.
 func TestCompiledEngineMatchesReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	preds := []string{
-		"a = 'cs'",
-		"a = '2'",
-		"a <> 'ece'",
-		"b >= 2",
-		"b < 3",
-		"b = 2",
-		"c IS NULL",
-		"c IS NOT NULL",
-		"a LIKE '%c%'",
-		"a NOT LIKE 'c_'",
-		"b IN (1, 2, '2')",
-		"a IN ('cs', 'fine arts', 2)",
-		"NOT b = 1",
-		"b + 1 >= 2",
-		"b > c",
-		"a = c",
-		"b = 1 OR c = 2",
-	}
-	pred := func() string { return preds[rng.Intn(len(preds))] }
+	pred := func() string { return propertyPreds[rng.Intn(len(propertyPreds))] }
 	for trial := 0; trial < 60; trial++ {
 		db := randomDB(rng)
 		queries := []string{
@@ -272,11 +259,76 @@ func TestCompiledEngineMatchesReferenceProperty(t *testing.T) {
 			"SELECT DISTINCT b + 1, a FROM T1",
 			"SELECT a, COUNT(b) AS n, SUM(b) AS s, AVG(b) AS m FROM T1 GROUP BY a",
 			"SELECT b, c, MIN(a), MAX(a), COUNT(*) FROM T1 GROUP BY b, c",
+			"SELECT MIN(b), MAX(b), AVG(b), COUNT(*) FROM T1 WHERE a = 'no such value'",
+			"SELECT SUM(b + 1) FROM T1",
+			"SELECT COUNT(a) FROM T1",
 		}
 		for _, sql := range queries {
 			checkQuery(t, fmt.Sprintf("trial %d", trial), sql, db)
 		}
 	}
+}
+
+// propertyPreds are the WHERE predicates the property and fuzz
+// differentials draw from.
+var propertyPreds = []string{
+	"a = 'cs'",
+	"a = '2'",
+	"a <> 'ece'",
+	"b >= 2",
+	"b < 3",
+	"b = 2",
+	"c IS NULL",
+	"c IS NOT NULL",
+	"a LIKE '%c%'",
+	"a NOT LIKE 'c_'",
+	"b IN (1, 2, '2')",
+	"a IN ('cs', 'fine arts', 2)",
+	"NOT b = 1",
+	"b + 1 >= 2",
+	"b > c",
+	"a = c",
+	"b = 1 OR c = 2",
+}
+
+// FuzzCompiledMatchesReference runs fuzzed queries over fuzzed randomDB
+// instances through both engines: one aggregate function and argument,
+// one of four shapes (scalar, GROUP BY one or two columns, two scalar
+// aggregates), and an optional predicate — including one no row
+// satisfies, so aggregates also run over empty selections.
+func FuzzCompiledMatchesReference(f *testing.F) {
+	f.Add(int64(17), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(29), uint8(1), uint8(1), uint8(3), uint8(1))
+	f.Add(int64(5), uint8(3), uint8(4), uint8(17), uint8(0))
+	f.Add(int64(11), uint8(2), uint8(2), uint8(18), uint8(3))
+	fns := []string{"COUNT", "SUM", "AVG", "MIN", "MAX"}
+	args := []string{"a", "b", "c", "b + 1", "*"}
+	f.Fuzz(func(t *testing.T, seed int64, fn, arg, pred, shape uint8) {
+		db := randomDB(rand.New(rand.NewSource(seed)))
+		agg := fmt.Sprintf("%s(%s)", fns[int(fn)%len(fns)], args[int(arg)%len(args)])
+		if args[int(arg)%len(args)] == "*" {
+			agg = "COUNT(*)"
+		}
+		where := ""
+		switch p := int(pred) % (len(propertyPreds) + 2); {
+		case p < len(propertyPreds):
+			where = " WHERE " + propertyPreds[p]
+		case p == len(propertyPreds):
+			where = " WHERE a = 'no such value'"
+		}
+		var sql string
+		switch shape % 4 {
+		case 0:
+			sql = "SELECT " + agg + " FROM T1" + where
+		case 1:
+			sql = "SELECT a, " + agg + " FROM T1" + where + " GROUP BY a"
+		case 2:
+			sql = "SELECT b, c, " + agg + " FROM T1" + where + " GROUP BY b, c"
+		default:
+			sql = "SELECT " + agg + ", COUNT(*) FROM T1" + where
+		}
+		checkQuery(t, fmt.Sprintf("seed %d", seed), sql, db)
+	})
 }
 
 // TestCrossJoinBatchedRestFilter sizes the inputs so the filtered cross

@@ -35,9 +35,6 @@ func RunScalar(sel *sqlparse.Select, db *relation.Database) (relation.Value, err
 	if err != nil {
 		return relation.Null(), err
 	}
-	if res.Len() != 1 || res.Schema.Len() < 1 {
-		return relation.Null(), fmt.Errorf("query: aggregate query returned %d rows", res.Len())
-	}
 	return res.At(0, 0), nil
 }
 
@@ -420,17 +417,12 @@ func equiJoinCols(c sqlparse.Expr, left, right *relation.Schema) (int, int, bool
 // project applies the SELECT list (plain projection, DISTINCT, scalar
 // aggregates, or GROUP BY aggregation) to the filtered source.
 func project(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
-	hasAgg := false
+	grouped := len(sel.GroupBy) > 0
 	for _, it := range sel.Items {
-		if it.Agg != sqlparse.AggNone {
-			hasAgg = true
-		}
+		grouped = grouped || it.Agg != sqlparse.AggNone
 	}
-	if len(sel.GroupBy) > 0 {
+	if grouped {
 		return groupProject(ev, sel, src)
-	}
-	if hasAgg {
-		return aggregateProject(ev, sel, src)
 	}
 	return plainProject(ev, sel, src)
 }
@@ -540,178 +532,9 @@ func plainProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (
 	return out.Gather(distinctSel(out, allCols)), nil
 }
 
-// aggState accumulates one aggregate.
-type aggState struct {
-	fn    sqlparse.AggFunc
-	count int64
-	sum   float64
-	best  relation.Value
-	isInt bool
-	init  bool
-}
-
-func newAggState(fn sqlparse.AggFunc) *aggState { return &aggState{fn: fn, isInt: true} }
-
-func (a *aggState) add(v relation.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	a.count++
-	switch a.fn {
-	case sqlparse.AggCount:
-		return nil
-	case sqlparse.AggSum, sqlparse.AggAvg:
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("query: %s over non-numeric value %v", a.fn, v)
-		}
-		if v.Kind() != relation.KindInt {
-			a.isInt = false
-		}
-		a.sum += f
-		return nil
-	case sqlparse.AggMax, sqlparse.AggMin:
-		if !a.init {
-			a.best = v
-			a.init = true
-			return nil
-		}
-		c, ok := v.Compare(a.best)
-		if !ok {
-			return fmt.Errorf("query: %s over incomparable values %v and %v", a.fn, v, a.best)
-		}
-		if (a.fn == sqlparse.AggMax && c > 0) || (a.fn == sqlparse.AggMin && c < 0) {
-			a.best = v
-		}
-		return nil
-	}
-	return fmt.Errorf("query: unknown aggregate %v", a.fn)
-}
-
-func (a *aggState) result() relation.Value {
-	switch a.fn {
-	case sqlparse.AggCount:
-		return relation.Int(a.count)
-	case sqlparse.AggSum:
-		if a.count == 0 {
-			return relation.Null()
-		}
-		if a.isInt {
-			return relation.Int(int64(a.sum))
-		}
-		return relation.Float(a.sum)
-	case sqlparse.AggAvg:
-		if a.count == 0 {
-			return relation.Null()
-		}
-		return relation.Float(a.sum / float64(a.count))
-	case sqlparse.AggMax, sqlparse.AggMin:
-		if !a.init {
-			return relation.Null()
-		}
-		return a.best
-	}
-	return relation.Null()
-}
-
-// accumulateTyped folds a homogeneous numeric column into the aggregate
-// state without boxing a Value per row: additions happen in the same order
-// and the same float64 arithmetic the generic path uses, so results are
-// bit-identical. Returns false when the column does not qualify.
-func accumulateTyped(st *aggState, src *relation.Relation, j int) bool {
-	switch st.fn {
-	case sqlparse.AggCount, sqlparse.AggSum, sqlparse.AggAvg:
-	default:
-		return false // MIN/MAX keep the generic Value path (kind fidelity)
-	}
-	if segs, nullSegs, ok := src.IntSegments(j); ok {
-		for s, ints := range segs {
-			nulls := nullSegs[s]
-			for i := range ints {
-				if relation.NullAt(nulls, i) {
-					continue
-				}
-				st.count++
-				st.sum += float64(ints[i])
-			}
-		}
-		return true
-	}
-	if segs, nullSegs, ok := src.FloatSegments(j); ok {
-		for s, floats := range segs {
-			nulls := nullSegs[s]
-			for i := range floats {
-				if relation.NullAt(nulls, i) {
-					continue
-				}
-				st.count++
-				st.sum += floats[i]
-				st.isInt = false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-func aggregateProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
-	names := make([]string, len(sel.Items))
-	states := make([]*aggState, len(sel.Items))
-	fns := make([]scalarFn, len(sel.Items))
-	typed := make([]bool, len(sel.Items))
-	for i, it := range sel.Items {
-		if it.Agg == sqlparse.AggNone {
-			return nil, fmt.Errorf("query: mixing aggregates and plain columns requires GROUP BY: %s", it)
-		}
-		names[i] = itemName(it, i)
-		states[i] = newAggState(it.Agg)
-		if it.Star {
-			continue
-		}
-		// COUNT/SUM/AVG over a plain numeric column fold straight off the
-		// typed array; everything else compiles to a scalar closure.
-		if ref, ok := it.Expr.(*sqlparse.ColumnRef); ok {
-			if j, err := src.Schema.Index(ref.String()); err == nil && accumulateTyped(states[i], src, j) {
-				typed[i] = true
-				continue
-			}
-		}
-		fn, err := ev.compileScalar(it.Expr, src)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = fn
-	}
-	one := relation.Int(1)
-	for r := 0; r < src.Len(); r++ {
-		for i, it := range sel.Items {
-			if typed[i] {
-				continue
-			}
-			v := one
-			if !it.Star {
-				var err error
-				v, err = fns[i](r)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if err := states[i].add(v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	out := relation.NewWithDict(src.Dict(), "", names...)
-	rec := make(relation.Tuple, len(states))
-	for i, st := range states {
-		rec[i] = st.result()
-	}
-	out.AppendRow(rec)
-	return out, nil
-}
-
 // groupIndexes resolves the GROUP BY columns and validates that every
-// non-aggregate select item is one of them.
+// non-aggregate select item is one of them; without GROUP BY every item
+// must be an aggregate.
 func groupIndexes(sel *sqlparse.Select, src *relation.Relation) ([]int, error) {
 	gIdx := make([]int, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
@@ -724,6 +547,9 @@ func groupIndexes(sel *sqlparse.Select, src *relation.Relation) ([]int, error) {
 	for _, it := range sel.Items {
 		if it.Agg != sqlparse.AggNone {
 			continue
+		}
+		if len(gIdx) == 0 {
+			return nil, fmt.Errorf("query: mixing aggregates and plain columns requires GROUP BY: %s", it)
 		}
 		ref, ok := it.Expr.(*sqlparse.ColumnRef)
 		if !ok {
@@ -759,11 +585,11 @@ const (
 
 // groupAgg accumulates one SELECT item's aggregate across every group in
 // column-major typed arrays — counts[gi], sums[gi] — instead of one boxed
-// *aggState per (item, group). COUNT/SUM/AVG over a homogeneous numeric
+// accumulator per (item, group). COUNT/SUM/AVG over a homogeneous numeric
 // column (and COUNT over strings or *) bind the typed storage once and
 // never box a Value on the per-row path; every other shape evaluates its
-// compiled scalar per row with aggState's exact add/result semantics, so
-// results are bit-identical either way.
+// compiled scalar per row with SQL's Value semantics. Rows fold in source
+// order, so sums are bit-identical either way.
 type groupAgg struct {
 	fn   sqlparse.AggFunc
 	mode groupAggMode
@@ -778,7 +604,7 @@ type groupAgg struct {
 
 	counts  []int64
 	sums    []float64
-	nonInts []bool // group's sum saw a non-Int value (aggState's !isInt)
+	nonInts []bool // group's sum saw a non-Int value (the result is then FLOAT)
 	bests   []relation.Value
 	inits   []bool
 }
@@ -874,7 +700,8 @@ func (a *groupAgg) add(gi int32, r int) error {
 	return a.addValue(gi, v)
 }
 
-// addValue replicates aggState.add against the column-major arrays.
+// addValue folds one boxed value into group gi: NULLs are skipped,
+// SUM/AVG reject non-numeric values, MIN/MAX reject incomparable ones.
 func (a *groupAgg) addValue(gi int32, v relation.Value) error {
 	if v.IsNull() {
 		return nil
@@ -911,7 +738,8 @@ func (a *groupAgg) addValue(gi int32, v relation.Value) error {
 	return fmt.Errorf("query: unknown aggregate %v", a.fn)
 }
 
-// result materializes group gi's aggregate, matching aggState.result.
+// result materializes group gi's aggregate: SUM/AVG/MIN/MAX over no
+// non-NULL value are NULL, COUNT is 0.
 func (a *groupAgg) result(gi int) relation.Value {
 	switch a.fn {
 	case sqlparse.AggCount:
@@ -941,13 +769,14 @@ func (a *groupAgg) result(gi int) relation.Value {
 // groupProject aggregates per group, keying groups on packed cell keys
 // through the flat group table. Each group tracks only its first source row
 // id — non-aggregate items evaluate there at output time — and groups emit
-// in first-appearance order, exactly like the reference engine.
+// in first-appearance order, exactly like the reference engine. A scalar
+// aggregate (no GROUP BY) is the single-group case: its one group exists
+// even over an empty source, so it always returns exactly one row.
 func groupProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
 	gIdx, err := groupIndexes(sel, src)
 	if err != nil {
 		return nil, err
 	}
-	keys := keyColumns(src, gIdx, src.Dict())
 
 	fns := make([]scalarFn, len(sel.Items))
 	aggs := make([]*groupAgg, len(sel.Items))
@@ -966,15 +795,28 @@ func groupProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (
 	}
 
 	var firsts []int32
-	table := newFlatGroups(src.Len())
+	newGroup := func(r int) {
+		firsts = append(firsts, int32(r))
+		for _, a := range aggs {
+			if a != nil {
+				a.addGroup()
+			}
+		}
+	}
+	var keys [][]relation.CellKey
+	var table *flatGroups
+	if len(gIdx) == 0 {
+		newGroup(0)
+	} else {
+		keys = keyColumns(src, gIdx, src.Dict())
+		table = newFlatGroups(src.Len())
+	}
 	for r := 0; r < src.Len(); r++ {
-		gi, fresh := table.at(keys, r)
-		if fresh {
-			firsts = append(firsts, int32(r))
-			for _, a := range aggs {
-				if a != nil {
-					a.addGroup()
-				}
+		var gi int32
+		if table != nil {
+			var fresh bool
+			if gi, fresh = table.at(keys, r); fresh {
+				newGroup(r)
 			}
 		}
 		for _, a := range aggs {

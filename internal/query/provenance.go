@@ -42,25 +42,6 @@ func provenanceAggregate(sel *sqlparse.Select) (sqlparse.AggFunc, *sqlparse.Sele
 	return agg, aggItem, nil
 }
 
-// finishProvenance fills in the query's own answer: the scalar result for
-// aggregate queries, the result row count otherwise.
-func finishProvenance(prov *Provenance, aggItem *sqlparse.SelectItem, db *relation.Database) error {
-	if aggItem != nil {
-		res, err := RunScalar(prov.Query, db)
-		if err != nil {
-			return err
-		}
-		prov.Result = res
-		return nil
-	}
-	res, err := Run(prov.Query, db)
-	if err != nil {
-		return err
-	}
-	prov.Result = relation.Int(int64(res.Len()))
-	return nil
-}
-
 // Extract computes the provenance relation of Definition 2.3. Grouped
 // queries are rejected: the paper's query class aggregates the full
 // selection. For each tuple t in σ_c(X) the impact is Π_o'(t), where o' = 1
@@ -71,7 +52,8 @@ func finishProvenance(prov *Provenance, aggItem *sqlparse.SelectItem, db *relati
 // The compiled engine builds P columnar-ly: the impact expression compiles
 // once, contributing rows collect into a selection vector, and P is the
 // source's typed columns gathered through it plus the impact column — σ_c(X)
-// is never re-boxed into Tuples.
+// is never re-boxed into Tuples. The query's own answer is the SELECT list
+// projected from the same σ_c(X), so the query is evaluated once.
 func Extract(sel *sqlparse.Select, db *relation.Database) (*Provenance, error) {
 	if len(sel.GroupBy) > 0 {
 		return nil, fmt.Errorf("query: provenance extraction does not support GROUP BY queries: %s", sel.String())
@@ -128,9 +110,13 @@ func Extract(sel *sqlparse.Select, db *relation.Database) (*Provenance, error) {
 	}
 	p := base.AppendValueColumn("P", sch, impacts)
 
-	prov := &Provenance{Query: sel, Agg: agg, Rel: p}
-	if err := finishProvenance(prov, aggItem, db); err != nil {
+	res, err := project(ev, sel, src)
+	if err != nil {
 		return nil, err
+	}
+	prov := &Provenance{Query: sel, Agg: agg, Rel: p, Result: relation.Int(int64(res.Len()))}
+	if aggItem != nil {
+		prov.Result = res.At(0, 0)
 	}
 	return prov, nil
 }

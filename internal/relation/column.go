@@ -180,13 +180,7 @@ func (c *column) clone() *column {
 	if len(c.segs) > 0 {
 		out.segs = make([]*colSeg, len(c.segs))
 		for k, s := range c.segs {
-			out.segs[k] = &colSeg{
-				nulls:  append([]uint64(nil), s.nulls...),
-				ints:   append([]int64(nil), s.ints...),
-				floats: append([]float64(nil), s.floats...),
-				bools:  append([]bool(nil), s.bools...),
-				codes:  append([]uint32(nil), s.codes...),
-			}
+			out.segs[k] = s.clone()
 		}
 	}
 	if c.mixed != nil {

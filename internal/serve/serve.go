@@ -652,7 +652,7 @@ func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Re
 // generation that already holds it. advanced reports which path built it.
 func (s *Server) prefixFor(dv *dataVersion, q1, q2 *sqlparse.Select, mattr schemamap.Matching, popt linkage.PairOptions, workers int) (pp *core.PairPrefix, advanced bool, err error) {
 	q1c, q2c, mc := q1.String(), q2.String(), matchingText(mattr)
-	poptSig := fmt.Sprintf("%g|%t|%d|%d", popt.MinSim, popt.Block, popt.MinSharedTokens, popt.Shards)
+	poptSig := fmt.Sprintf("%g|%d|%d", popt.MinSim, popt.MinSharedTokens, popt.Shards)
 	key := q1c + "\x1f" + q2c + "\x1f" + mc + "\x1f" + poptSig
 
 	dv.mu.Lock()
